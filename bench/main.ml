@@ -126,10 +126,9 @@ let run_micro () =
 
 (* Perf-trajectory record: BENCH_<n>.json.
 
-   For every workload, time one full harness evaluation in
-   interpret-every-image mode against record-once/replay-many mode — each
-   from a cold Profiled cache, so both sides pay their own profiling pass —
-   and record the packed trace's size.  The file number self-advances past
+   For every workload, time one full harness evaluation from a cold
+   Profiled cache, so it pays its own profiling pass, and record the packed
+   trace's size.  The file number self-advances past
    any BENCH_*.json already in the working directory, so successive runs
    accumulate a trajectory; CI uploads the file as an artifact. *)
 let record_steps = 200_000
@@ -160,11 +159,6 @@ let run_record () =
   let rows =
     List.map
       (fun (w : Ba_workloads.Spec.t) ->
-        Ba_workloads.Profiled.clear ();
-        let interpret_s =
-          time_run (fun () ->
-              Ba_report.Harness.evaluate ~max_steps:record_steps ~replay:false w)
-        in
         Ba_workloads.Profiled.clear ();
         let replay_s =
           time_run (fun () -> Ba_report.Harness.evaluate ~max_steps:record_steps w)
@@ -266,35 +260,33 @@ let run_record () =
           ( time_run (each Ba_core.Exttsp.Eval.total),
             time_run (each Ba_core.Exttsp.Eval.scratch_total) )
         in
-        ( w.Ba_workloads.Spec.name, interpret_s, replay_s, analyze_s, bound_s,
-          delta_s, full_s, exttsp_delta_s, exttsp_full_s, trace ))
+        ( w.Ba_workloads.Spec.name, replay_s, analyze_s, bound_s, delta_s,
+          full_s, exttsp_delta_s, exttsp_full_s, trace ))
       Ba_workloads.Spec.all
   in
   let total f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in
-  let total_interpret = total (fun (_, i, _, _, _, _, _, _, _, _) -> i) in
-  let total_replay = total (fun (_, _, r, _, _, _, _, _, _, _) -> r) in
-  let total_analyze = total (fun (_, _, _, a, _, _, _, _, _, _) -> a) in
-  let total_bound = total (fun (_, _, _, _, b, _, _, _, _, _) -> b) in
-  let total_delta = total (fun (_, _, _, _, _, d, _, _, _, _) -> d) in
-  let total_full = total (fun (_, _, _, _, _, _, f, _, _, _) -> f) in
-  let total_exttsp_delta = total (fun (_, _, _, _, _, _, _, d, _, _) -> d) in
-  let total_exttsp_full = total (fun (_, _, _, _, _, _, _, _, f, _) -> f) in
+  let total_replay = total (fun (_, r, _, _, _, _, _, _, _) -> r) in
+  let total_analyze = total (fun (_, _, a, _, _, _, _, _, _) -> a) in
+  let total_bound = total (fun (_, _, _, b, _, _, _, _, _) -> b) in
+  let total_delta = total (fun (_, _, _, _, d, _, _, _, _) -> d) in
+  let total_full = total (fun (_, _, _, _, _, f, _, _, _) -> f) in
+  let total_exttsp_delta = total (fun (_, _, _, _, _, _, d, _, _) -> d) in
+  let total_exttsp_full = total (fun (_, _, _, _, _, _, _, f, _) -> f) in
   let json =
     Ba_util.Json.Obj
       [
-        ("schema", Ba_util.Json.String "ba-bench-trajectory/1");
+        ("schema", Ba_util.Json.String "ba-bench-trajectory/2");
         ("max_steps", Ba_util.Json.Int record_steps);
         ( "workloads",
           Ba_util.Json.List
             (List.map
                (fun
-                 ( name, interpret_s, replay_s, analyze_s, bound_s, delta_s,
-                   full_s, exttsp_delta_s, exttsp_full_s, trace )
+                 ( name, replay_s, analyze_s, bound_s, delta_s, full_s,
+                   exttsp_delta_s, exttsp_full_s, trace )
                ->
                  Ba_util.Json.Obj
                    [
                      ("workload", Ba_util.Json.String name);
-                     ("interpret_s", Ba_util.Json.Float interpret_s);
                      ("replay_s", Ba_util.Json.Float replay_s);
                      ("analyze_s", Ba_util.Json.Float analyze_s);
                      ("bound_s", Ba_util.Json.Float bound_s);
@@ -302,7 +294,6 @@ let run_record () =
                      ("full_s", Ba_util.Json.Float full_s);
                      ("exttsp_delta_s", Ba_util.Json.Float exttsp_delta_s);
                      ("exttsp_full_s", Ba_util.Json.Float exttsp_full_s);
-                     ("speedup", Ba_util.Json.Float (interpret_s /. replay_s));
                      ("delta_speedup", Ba_util.Json.Float (full_s /. delta_s));
                      ( "exttsp_speedup",
                        Ba_util.Json.Float (exttsp_full_s /. exttsp_delta_s) );
@@ -311,7 +302,6 @@ let run_record () =
                      ("trace_steps", Ba_util.Json.Int trace.Ba_trace.Trace.steps);
                    ])
                rows) );
-        ("total_interpret_s", Ba_util.Json.Float total_interpret);
         ("total_replay_s", Ba_util.Json.Float total_replay);
         ("total_analyze_s", Ba_util.Json.Float total_analyze);
         ("total_bound_s", Ba_util.Json.Float total_bound);
@@ -319,7 +309,6 @@ let run_record () =
         ("total_full_s", Ba_util.Json.Float total_full);
         ("total_exttsp_delta_s", Ba_util.Json.Float total_exttsp_delta);
         ("total_exttsp_full_s", Ba_util.Json.Float total_exttsp_full);
-        ("total_speedup", Ba_util.Json.Float (total_interpret /. total_replay));
         ( "total_delta_speedup",
           Ba_util.Json.Float (total_full /. total_delta) );
         ( "total_exttsp_speedup",
@@ -331,29 +320,25 @@ let run_record () =
   output_string oc (Ba_util.Json.to_string json);
   output_string oc "\n";
   close_out oc;
-  Printf.printf "== Perf trajectory (interpret vs replay, %d steps) ==\n" record_steps;
+  Printf.printf "== Perf trajectory (%d steps) ==\n" record_steps;
   List.iter
     (fun
-      ( name, interpret_s, replay_s, analyze_s, bound_s, delta_s, full_s,
-        exttsp_delta_s, exttsp_full_s, trace )
+      ( name, replay_s, analyze_s, bound_s, delta_s, full_s, exttsp_delta_s,
+        exttsp_full_s, trace )
     ->
       Printf.printf
-        "%-12s interpret %6.3fs  replay %6.3fs  analyze %6.3fs  bound %6.3fs  \
-         speedup %5.2fx  delta %8.5fs  full %6.3fs  delta-speedup %7.1fx  \
+        "%-12s replay %6.3fs  analyze %6.3fs  bound %6.3fs  \
+         delta %8.5fs  full %6.3fs  delta-speedup %7.1fx  \
          exttsp %8.5fs/%8.5fs  trace %d B\n"
-        name interpret_s replay_s analyze_s bound_s
-        (interpret_s /. replay_s)
-        delta_s full_s (full_s /. delta_s) exttsp_delta_s exttsp_full_s
-        (Ba_trace.Trace.byte_size trace))
+        name replay_s analyze_s bound_s delta_s full_s (full_s /. delta_s)
+        exttsp_delta_s exttsp_full_s (Ba_trace.Trace.byte_size trace))
     rows;
   Printf.printf
-    "%-12s interpret %6.3fs  replay %6.3fs  analyze %6.3fs  bound %6.3fs  \
-     speedup %5.2fx  delta %8.5fs  full %6.3fs  delta-speedup %7.1fx  \
+    "%-12s replay %6.3fs  analyze %6.3fs  bound %6.3fs  \
+     delta %8.5fs  full %6.3fs  delta-speedup %7.1fx  \
      exttsp %8.5fs/%8.5fs (%5.1fx)\n"
-    "TOTAL" total_interpret total_replay total_analyze total_bound
-    (total_interpret /. total_replay)
-    total_delta total_full (total_full /. total_delta)
-    total_exttsp_delta total_exttsp_full
+    "TOTAL" total_replay total_analyze total_bound total_delta total_full
+    (total_full /. total_delta) total_exttsp_delta total_exttsp_full
     (total_exttsp_full /. total_exttsp_delta);
   Printf.printf "wrote %s\n" path
 

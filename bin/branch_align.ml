@@ -226,6 +226,30 @@ let align_cmd name algo arch seed sweeps max_steps jobs =
     (Ba_delta.Eval.spec_label spec)
     (Ba_delta.Eval.cost_arch ev 0 decisions)
 
+(* The per-architecture table [simulate] and [trace replay] print. *)
+let print_sims sims =
+  let columns =
+    Ba_util.Ascii_table.
+      [
+        column ~align:Left "architecture"; column "accuracy%"; column "misfetch";
+        column "mispredict"; column "BEP cycles";
+      ]
+  in
+  let rows =
+    List.map
+      (fun (arch, sim) ->
+        [
+          Ba_sim.Bep.arch_label arch;
+          Ba_util.Ascii_table.float_cell ~decimals:1
+            (100.0 *. Ba_sim.Bep.cond_accuracy sim);
+          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.counts sim).Ba_sim.Bep.misfetches;
+          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.counts sim).Ba_sim.Bep.mispredicts;
+          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.bep sim);
+        ])
+      (Array.to_list sims)
+  in
+  print_string (Ba_util.Ascii_table.render ~columns ~rows)
+
 (* Profile, align (unless --algo orig) and simulate one workload, with the
    Ba_obs registry installed around the whole pipeline so every stage's
    counters, histograms and spans land in the report. *)
@@ -259,27 +283,7 @@ let simulate_cmd name algo arch max_steps metrics =
     (Ba_core.Cost_model.arch_name arch)
     (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.branches)
     (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.insns);
-  let columns =
-    Ba_util.Ascii_table.
-      [
-        column ~align:Left "architecture"; column "accuracy%"; column "misfetch";
-        column "mispredict"; column "BEP cycles";
-      ]
-  in
-  let rows =
-    List.map
-      (fun (arch, sim) ->
-        [
-          Ba_sim.Bep.arch_label arch;
-          Ba_util.Ascii_table.float_cell ~decimals:1
-            (100.0 *. Ba_sim.Bep.cond_accuracy sim);
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.counts sim).Ba_sim.Bep.misfetches;
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.counts sim).Ba_sim.Bep.mispredicts;
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.bep sim);
-        ])
-      (Array.to_list out.Ba_sim.Runner.sims)
-  in
-  print_string (Ba_util.Ascii_table.render ~columns ~rows);
+  print_sims out.Ba_sim.Runner.sims;
   match (metrics, registry) with
   | Some format, Some r ->
     print_endline "\n== Pipeline metrics ==";
@@ -300,66 +304,9 @@ let hotspots_cmd name top max_steps =
     (Ba_util.Ascii_table.int_cell result.Ba_exec.Engine.insns);
   print_string (Ba_report.Hotspots.render ~k:top hot)
 
-let record_cmd name path max_steps =
-  let workload = lookup name in
-  let program = workload.Ba_workloads.Spec.build () in
-  let image = Ba_layout.Image.original program in
-  let result =
-    Ba_exec.Trace_io.record ~path (fun ~on_event ->
-        Ba_exec.Engine.run ~max_steps ~on_event image)
-  in
-  Printf.printf "recorded %s events (%s instructions) to %s\n"
-    (Ba_util.Ascii_table.int_cell result.Ba_exec.Engine.branches)
-    (Ba_util.Ascii_table.int_cell result.Ba_exec.Engine.insns)
-    path
-
-let replay_cmd path =
-  (* Replay a recorded trace through every architecture that needs no
-     image-side metadata. *)
-  let archs =
-    [
-      Ba_sim.Bep.Static_fallthrough;
-      Ba_sim.Bep.Static_btfnt;
-      Ba_sim.Bep.Pht_direct { entries = 4096 };
-      Ba_sim.Bep.Pht_gshare { entries = 4096; history_bits = 12 };
-      Ba_sim.Bep.Pht_global { history_bits = 12 };
-      Ba_sim.Bep.Pht_local { history_bits = 12; branch_entries = 1024 };
-      Ba_sim.Bep.Btb_arch { entries = 64; assoc = 2 };
-      Ba_sim.Bep.Btb_arch { entries = 256; assoc = 4 };
-    ]
-  in
-  let sims = List.map (fun a -> (a, Ba_sim.Bep.create a)) archs in
-  let n =
-    Ba_exec.Trace_io.replay ~path (fun ev ->
-        List.iter (fun (_, sim) -> Ba_sim.Bep.on_event sim ev) sims)
-  in
-  Printf.printf "replayed %s events from %s\n\n" (Ba_util.Ascii_table.int_cell n) path;
-  let columns =
-    Ba_util.Ascii_table.
-      [
-        column ~align:Left "architecture"; column "accuracy%"; column "misfetch";
-        column "mispredict"; column "BEP cycles";
-      ]
-  in
-  let rows =
-    List.map
-      (fun (arch, sim) ->
-        [
-          Ba_sim.Bep.arch_label arch;
-          Ba_util.Ascii_table.float_cell ~decimals:1
-            (100.0 *. Ba_sim.Bep.cond_accuracy sim);
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.counts sim).Ba_sim.Bep.misfetches;
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.counts sim).Ba_sim.Bep.mispredicts;
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.bep sim);
-        ])
-      sims
-  in
-  print_string (Ba_util.Ascii_table.render ~columns ~rows)
-
-(* Packed semantic traces on disk (magic BAST1): unlike the per-event files
-   of [record]/[replay] above, these store only the layout-independent
-   decision stream — outcome bits plus switch/vcall varints — so one file
-   replays against any layout of the program. *)
+(* Packed semantic traces on disk (magic BAST1): only the
+   layout-independent decision stream — outcome bits plus switch/vcall
+   varints — so one file replays against any layout of the program. *)
 
 let trace_record_cmd name path max_steps =
   let workload = lookup name in
@@ -379,7 +326,13 @@ let trace_record_cmd name path max_steps =
 let trace_replay_cmd name path algo arch =
   let workload = lookup name in
   let program = workload.Ba_workloads.Spec.build () in
-  let { Ba_trace.Trace.seed; max_steps; trace } = Ba_trace.Trace.load ~path in
+  let bad_trace msg =
+    Printf.eprintf "cannot replay trace %s: %s\n" path msg;
+    exit 1
+  in
+  let { Ba_trace.Trace.seed; max_steps; trace } =
+    try Ba_trace.Trace.load ~path with Failure msg | Sys_error msg -> bad_trace msg
+  in
   if seed <> program.Ba_ir.Program.seed then begin
     Printf.eprintf
       "trace %s was recorded for a program with seed %d, but workload %s has \
@@ -396,7 +349,10 @@ let trace_replay_cmd name path algo arch =
       let profile = Ba_exec.Engine.profile_program ~max_steps program in
       Ba_core.Align.image algo ~arch profile
   in
-  let out = Ba_sim.Runner.simulate ~trace ~archs:bep_archs image in
+  let out =
+    try Ba_sim.Runner.simulate ~trace ~archs:bep_archs image
+    with Failure msg -> bad_trace msg
+  in
   Printf.printf
     "replayed %s steps from %s through %s (algorithm %s): %s branch events in \
      %s instructions\n\n"
@@ -405,27 +361,7 @@ let trace_replay_cmd name path algo arch =
     (Ba_core.Align.algo_name algo)
     (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.branches)
     (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.insns);
-  let columns =
-    Ba_util.Ascii_table.
-      [
-        column ~align:Left "architecture"; column "accuracy%"; column "misfetch";
-        column "mispredict"; column "BEP cycles";
-      ]
-  in
-  let rows =
-    List.map
-      (fun (arch, sim) ->
-        [
-          Ba_sim.Bep.arch_label arch;
-          Ba_util.Ascii_table.float_cell ~decimals:1
-            (100.0 *. Ba_sim.Bep.cond_accuracy sim);
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.counts sim).Ba_sim.Bep.misfetches;
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.counts sim).Ba_sim.Bep.mispredicts;
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.bep sim);
-        ])
-      (Array.to_list out.Ba_sim.Runner.sims)
-  in
-  print_string (Ba_util.Ascii_table.render ~columns ~rows)
+  print_sims out.Ba_sim.Runner.sims
 
 let disasm_cmd name algo arch proc_id max_steps =
   let workload = lookup name in
@@ -1187,16 +1123,6 @@ let () =
       & opt (some string) None
       & info [ "trace" ] ~doc:"Path of the binary trace file.")
   in
-  let record =
-    Cmd.v
-      (Cmd.info "record" ~doc:"Record a workload's branch trace to a file.")
-      Term.(const record_cmd $ workload_arg $ trace_arg $ max_steps_arg)
-  in
-  let replay =
-    Cmd.v
-      (Cmd.info "replay" ~doc:"Replay a recorded trace through the predictors.")
-      Term.(const replay_cmd $ trace_arg)
-  in
   let trace_group =
     let record =
       Cmd.v
@@ -1421,5 +1347,5 @@ let () =
        (Cmd.group
           (Cmd.info "branch_align"
              ~doc:"Profile-guided branch alignment (Calder & Grunwald, ASPLOS 1994).")
-          [ run; list; dump; hotspots; record; replay; trace_group; align;
+          [ run; list; dump; hotspots; trace_group; align;
             disasm; simulate; analyze; bound; lint; verify; serve ]))

@@ -155,11 +155,8 @@ let run_interproc max_steps only jobs format =
 (* The measured optimality-gap table: exact simulated penalty cycles of
    each algorithm's layout against the Optimal-k branch-and-bound winner,
    whose search is pruned by the static Ba_bound lower bounds. *)
-let run_gap max_steps only tryn jobs k no_delta format =
-  let rows =
-    Ba_report.Gap.evaluate_suite ~max_steps ~k ~tryn ~delta:(not no_delta)
-      ?jobs (select only)
-  in
+let run_gap max_steps only tryn jobs k format =
+  let rows = Ba_report.Gap.evaluate_suite ~max_steps ~k ~tryn ?jobs (select only) in
   match format with
   | `Ascii -> print_string (Ba_report.Gap.render rows)
   | `Json -> print_endline (Ba_util.Json.to_string (Ba_report.Gap.to_json rows))
@@ -667,13 +664,6 @@ let () =
                 value & opt int 4
                 & info [ "k" ]
                     ~doc:"How many of the hottest chains Optimal-k reorders.")
-            $ Arg.(
-                value & flag
-                & info [ "no-delta" ]
-                    ~doc:
-                      "Price candidates with full trace replays instead of \
-                       the incremental delta evaluator (same figures, \
-                       slower).")
             $ placement_format_arg);
         Cmd.v
           (Cmd.info "all" ~doc:"Reproduce every table and figure.")

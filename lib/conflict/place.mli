@@ -31,7 +31,6 @@ val improve :
   ?suite:Structure.t list ->
   ?arch:Ba_core.Cost_model.arch ->
   ?max_pad:int ->
-  ?delta:bool ->
   ?interproc:bool ->
   profile:Ba_cfg.Profile.t ->
   Ba_ir.Program.t ->
@@ -44,10 +43,8 @@ val improve :
     requires strict improvement, and zero pads with zero swaps reproduce
     the input image.
 
-    [delta] (default [true]) prices the swap guard incrementally with
-    {!Ba_delta.Model} instead of re-lowering the whole procedure per
-    candidate; the accepted swaps — and therefore the result — are
-    bit-identical either way.
+    The swap guard is priced incrementally with {!Ba_delta.Model}, bit-equal
+    to re-lowering the whole procedure per candidate.
 
     [interproc] (default [false]) composes placement with the stitched
     layout: every image — the objective baseline, each swap candidate's,

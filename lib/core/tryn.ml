@@ -40,17 +40,6 @@ let is_cond (ctx : Ctx.t) b =
   | Ba_ir.Term.Cond _ -> true
   | _ -> false
 
-(* Evaluate the current chain state restricted to the source blocks touched
-   by the group. *)
-let leaf_cost ~arch ~table ctx chain sources =
-  List.fold_left
-    (fun acc s ->
-      acc
-      +.
-      if is_cond ctx s then site_cost ~arch ~table ctx chain s
-      else flow_cost ~arch ~table ctx chain s)
-    0.0 sources
-
 (* Optimistic (lower-bound) cost increment of one decision, for pruning. *)
 let optimistic ~arch ~table (ctx : Ctx.t) ((e : Ba_cfg.Edge.t), w) = function
   | Fall -> 0.0
@@ -75,20 +64,17 @@ let distinct_sources group =
 (* Search one group: enumerate all feasible Fall/Taken assignments with
    branch-and-bound, returning the best assignment's links.
 
-   With [delta] (the default), leaf evaluation is incremental: a source's
-   cost depends only on its own chain successor ([site_cost] and
-   [flow_cost] read nothing else that the search mutates), and the search
-   only relinks edges of this group, so a cached per-source cost goes
-   stale exactly when a link or unlink names that source — dirty it then,
-   reprice only dirty sources at the next leaf.  The evaluation folds the
-   cached values in [sources] order, the same order [leaf_cost] folds, so
-   every leaf total — and therefore every chosen assignment — is
-   bit-identical to the full evaluation. *)
-let search_group ?(delta = true) ~arch ~table ctx chain group =
+   Leaf evaluation is incremental: a source's cost depends only on its own
+   chain successor ([site_cost] and [flow_cost] read nothing else that the
+   search mutates), and the search only relinks edges of this group, so a
+   cached per-source cost goes stale exactly when a link or unlink names
+   that source — dirty it then, reprice only dirty sources at the next
+   leaf.  The cached values are folded in source order, so every leaf
+   total equals a fresh fold over the group's sources. *)
+let search_group ~arch ~table ctx chain group =
   let edges = Array.of_list group in
   let n = Array.length edges in
-  let sources = distinct_sources group in
-  let src_arr = Array.of_list sources in
+  let src_arr = Array.of_list (distinct_sources group) in
   let n_src = Array.length src_arr in
   let slot = Hashtbl.create (max 16 (2 * n_src)) in
   Array.iteri (fun i s -> Hashtbl.replace slot s i) src_arr;
@@ -100,21 +86,18 @@ let search_group ?(delta = true) ~arch ~table ctx chain group =
     | None -> ()
   in
   let leaf () =
-    if not delta then leaf_cost ~arch ~table ctx chain sources
-    else begin
-      let acc = ref 0.0 in
-      for i = 0 to n_src - 1 do
-        let s = src_arr.(i) in
-        if not cache_valid.(i) then begin
-          cache.(i) <-
-            (if is_cond ctx s then site_cost ~arch ~table ctx chain s
-             else flow_cost ~arch ~table ctx chain s);
-          cache_valid.(i) <- true
-        end;
-        acc := !acc +. cache.(i)
-      done;
-      !acc
-    end
+    let acc = ref 0.0 in
+    for i = 0 to n_src - 1 do
+      let s = src_arr.(i) in
+      if not cache_valid.(i) then begin
+        cache.(i) <-
+          (if is_cond ctx s then site_cost ~arch ~table ctx chain s
+           else flow_cost ~arch ~table ctx chain s);
+        cache_valid.(i) <- true
+      end;
+      acc := !acc +. cache.(i)
+    done;
+    !acc
   in
   let best_cost = ref infinity in
   let best_links = ref [] in
@@ -167,7 +150,7 @@ let m_link = Ba_obs.Counter.make ~unit_:"edges" "core.align.tryn.link"
 let m_neither = Ba_obs.Counter.make ~unit_:"sites" "core.align.tryn.neither"
 let m_cold_link = Ba_obs.Counter.make ~unit_:"edges" "core.align.tryn.cold_link"
 
-let build_chains ?delta ~arch ?(table = Cost_model.default_table) ?(n = 15)
+let build_chains ~arch ?(table = Cost_model.default_table) ?(n = 15)
     ?(min_weight = 2) (ctx : Ctx.t) =
   if n < 1 then invalid_arg "Tryn.build_chains: n must be positive";
   let chain = Ctx.fresh_chain ctx in
@@ -177,7 +160,7 @@ let build_chains ?delta ~arch ?(table = Cost_model.default_table) ?(n = 15)
     (fun group ->
       Ba_obs.Histogram.observe m_group_size (List.length group);
       List.iter (fun ((e : Ba_cfg.Edge.t), _) -> Hashtbl.replace processed e ()) group;
-      let links = search_group ?delta ~arch ~table ctx chain group in
+      let links = search_group ~arch ~table ctx chain group in
       List.iter
         (fun (src, dst) ->
           Ba_obs.Counter.incr m_link;

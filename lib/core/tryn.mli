@@ -12,16 +12,11 @@
 
     [n] defaults to 15 as in the paper; the ablation benchmark sweeps it.
 
-    [delta] (default [true]) evaluates search leaves incrementally: each
-    group source's cost is cached and invalidated only when a link or
-    unlink touches that source, so a leaf costs O(relinked sources)
-    instead of O(group sources).  Leaf totals are folded in the same
-    order either way, so the chosen chains are bit-identical — the
-    equality gate in [test_delta.ml] holds both paths to the same
-    decisions. *)
+    Search leaves are priced incrementally: each group source's cost is
+    cached and invalidated only when a link or unlink touches that source,
+    so a leaf costs O(relinked sources) instead of O(group sources). *)
 
 val build_chains :
-  ?delta:bool ->
   arch:Cost_model.arch ->
   ?table:Cost_model.table ->
   ?n:int ->

@@ -29,8 +29,8 @@ type t = {
     one scratch event for the whole run instead of allocating per branch.
     The contract for every [on_event] consumer is therefore: read the
     fields, never retain the event (or its [Cond] payload) past the
-    callback.  All in-repo consumers (Bep, Alpha, Trace_stats, Hotspots,
-    Trace_io) copy what they need. *)
+    callback.  All in-repo consumers (Bep, Alpha, Trace_stats, Hotspots)
+    copy what they need. *)
 
 val is_taken : t -> bool
 (** Did the instruction redirect fetch?  [true] for everything except a

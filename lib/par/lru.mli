@@ -6,8 +6,7 @@
     never contend.  Within a shard the cache is compute-once: a miss installs
     a pending cell before running [compute] outside the lock, and concurrent
     callers of the same key block on the cell and share the single result —
-    exactly the record-once contract {!Ba_workloads.Profiled} had with
-    {!Memo}, plus eviction.
+    the record-once contract {!Ba_workloads.Profiled} relies on.
 
     Counting contract (what the tests pin): the first caller of a key is one
     miss; every concurrent or later caller is one hit, including callers that

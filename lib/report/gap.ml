@@ -1,5 +1,4 @@
 open Ba_core
-open Ba_sim
 
 type cell = {
   model : Cost_model.arch;
@@ -21,8 +20,7 @@ let models =
   [ Cost_model.Fallthrough; Cost_model.Btfnt; Cost_model.Likely;
     Cost_model.Pht; Cost_model.Btb ]
 
-let evaluate ?max_steps ?(k = 4) ?(tryn = 15) ?(delta = true)
-    (workload : Ba_workloads.Spec.t) =
+let evaluate ?max_steps ?(k = 4) ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
   let max_steps =
     match max_steps with
     | Some s -> s
@@ -36,30 +34,16 @@ let evaluate ?max_steps ?(k = 4) ?(tryn = 15) ?(delta = true)
       (fun model ->
         let layout algo = Align.align_program algo ~arch:model profile in
         let base = layout (Align.Tryn tryn) in
-        (* With [delta] (the default) candidates are priced by the
-           incremental evaluator — exactly the integer [Bep.bep] a full
-           replay reports, which the differential wall enforces — so the
-           search costs O(affected sites) per candidate instead of a full
-           trace replay.  [delta:false] keeps the historical
-           replay-everything oracle; the tables are identical. *)
-        let bep =
-          if delta then begin
-            let ev =
-              Ba_delta.Eval.create
-                ~specs:[| Ba_delta.Eval.spec_of_model model |]
-                profile trace base
-            in
-            fun decisions -> Ba_delta.Eval.cost_arch ev 0 decisions
-          end
-          else
-            fun decisions ->
-              let image = Ba_layout.Image.build ~profile program decisions in
-              let arch = Ba_bound.Analyze.arch_of_model model ~profile image in
-              let outcome =
-                Runner.simulate ~max_steps ~trace ~archs:[ arch ] image
-              in
-              Bep.bep (snd outcome.Runner.sims.(0))
+        (* Candidates are priced by the incremental evaluator — exactly
+           the integer [Bep.bep] a full replay reports, which the
+           differential wall enforces — so the search costs O(affected
+           sites) per candidate instead of a full trace replay. *)
+        let ev =
+          Ba_delta.Eval.create
+            ~specs:[| Ba_delta.Eval.spec_of_model model |]
+            profile trace base
         in
+        let bep decisions = Ba_delta.Eval.cost_arch ev 0 decisions in
         let bounds decisions =
           let image = Ba_layout.Image.build ~profile program decisions in
           let arch = Ba_bound.Analyze.arch_of_model model ~profile image in
@@ -92,9 +76,9 @@ let evaluate ?max_steps ?(k = 4) ?(tryn = 15) ?(delta = true)
   in
   { workload; cells }
 
-let evaluate_suite ?max_steps ?k ?tryn ?delta ?jobs workloads =
+let evaluate_suite ?max_steps ?k ?tryn ?jobs workloads =
   Ba_par.Pool.with_pool ?jobs (fun pool ->
-      Ba_par.Pool.map pool (evaluate ?max_steps ?k ?tryn ?delta) workloads)
+      Ba_par.Pool.map pool (evaluate ?max_steps ?k ?tryn) workloads)
 
 let render rows =
   let open Ba_util.Ascii_table in

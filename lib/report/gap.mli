@@ -9,12 +9,10 @@
     optimum; [gap(try15)] is always [>= 0] because the identity reordering
     is itself a candidate.
 
-    Every simulation replays the workload's recorded trace, so the table
-    is deterministic at any [-j].  [delta] (default [true]) prices
-    candidates with {!Ba_delta.Eval} — bit-equal to the full replay, in
-    O(affected sites) per candidate — instead of replaying the whole trace
-    per candidate; [delta:false] keeps the historical oracle and produces
-    the identical table.  The [anneal] column is the seeded
+    Every layout is priced over the workload's recorded trace, so the
+    table is deterministic at any [-j].  Candidates are priced with
+    {!Ba_delta.Eval} — bit-equal to a full replay of the trace, in
+    O(affected sites) per candidate.  The [anneal] column is the seeded
     simulated-annealing search ({!Ba_delta.Anneal}, seed 0). *)
 
 type cell = {
@@ -40,7 +38,6 @@ val evaluate :
   ?max_steps:int ->
   ?k:int ->
   ?tryn:int ->
-  ?delta:bool ->
   Ba_workloads.Spec.t ->
   row
 
@@ -48,7 +45,6 @@ val evaluate_suite :
   ?max_steps:int ->
   ?k:int ->
   ?tryn:int ->
-  ?delta:bool ->
   ?jobs:int ->
   Ba_workloads.Spec.t list ->
   row list

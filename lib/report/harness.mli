@@ -58,22 +58,19 @@ type eval = {
           the 21064 model; computed for the SPEC C programs *)
 }
 
-val evaluate :
-  ?max_steps:int -> ?tryn:int -> ?replay:bool -> Ba_workloads.Spec.t -> eval
+val evaluate : ?max_steps:int -> ?tryn:int -> Ba_workloads.Spec.t -> eval
 (** [max_steps] defaults to {!Ba_workloads.Spec.default_max_steps}; [tryn]
     to 15.  The workload's profile {e and} semantic trace come from the
     process-wide {!Ba_workloads.Profiled} memo, so the interpreter runs
     only once per workload per budget; every image (original included) is
     then scored by replaying the trace ({!Ba_sim.Runner.simulate}'s
-    [?trace] path).  [replay:false] (default [true]) forces the historical
-    interpret-every-image path — the results are byte-identical either way,
-    which the differential test wall enforces. *)
+    [?trace] path), which the differential test wall proves equal to
+    interpreting every image. *)
 
 val evaluate_suite :
   ?max_steps:int ->
   ?tryn:int ->
   ?jobs:int ->
-  ?replay:bool ->
   Ba_workloads.Spec.t list ->
   eval list
 (** Evaluate the workloads on a {!Ba_par.Pool} of [jobs] domains (default
@@ -86,7 +83,6 @@ val evaluate_suite_timed :
   ?max_steps:int ->
   ?tryn:int ->
   ?jobs:int ->
-  ?replay:bool ->
   Ba_workloads.Spec.t list ->
   eval list * Ba_par.Stats.t
 (** {!evaluate_suite} plus per-workload wall times. *)

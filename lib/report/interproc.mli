@@ -28,15 +28,10 @@ type row = {
   stitched : int array;  (** same, inter-procedural image *)
 }
 
-val evaluate :
-  ?max_steps:int -> ?replay:bool -> Ba_workloads.Spec.t -> row
+val evaluate : ?max_steps:int -> Ba_workloads.Spec.t -> row
 
 val evaluate_suite :
-  ?max_steps:int ->
-  ?jobs:int ->
-  ?replay:bool ->
-  Ba_workloads.Spec.t list ->
-  row list
+  ?max_steps:int -> ?jobs:int -> Ba_workloads.Spec.t list -> row list
 (** Deterministic parallel evaluation, one task per workload. *)
 
 val render : row list -> string

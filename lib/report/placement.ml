@@ -24,7 +24,7 @@ let arch_labels =
     "BTB-256/4";
   ]
 
-let penalties ~max_steps ~profile ?trace image =
+let penalties ~max_steps ~profile ~trace image =
   let archs =
     List.map
       (function
@@ -33,11 +33,10 @@ let penalties ~max_steps ~profile ?trace image =
         | `Arch a -> a)
       Harness.full_archs
   in
-  let outcome = Runner.simulate ~max_steps ?trace ~archs image in
+  let outcome = Runner.simulate ~max_steps ~trace ~archs image in
   Array.map (fun (_, sim) -> Bep.bep sim) outcome.Runner.sims
 
-let evaluate ?max_steps ?(tryn = 15) ?(replay = true)
-    (workload : Ba_workloads.Spec.t) =
+let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
   let max_steps =
     match max_steps with
     | Some s -> s
@@ -46,7 +45,6 @@ let evaluate ?max_steps ?(tryn = 15) ?(replay = true)
   let program, profile, trace =
     Ba_workloads.Profiled.get_traced ~max_steps workload
   in
-  let trace = if replay then Some trace else None in
   (* The canonical BTB-aligned Try15 layout — the configuration the paper
      carries into its hardware evaluation — is the placement baseline. *)
   let decisions =
@@ -56,8 +54,8 @@ let evaluate ?max_steps ?(tryn = 15) ?(replay = true)
   let place =
     Ba_conflict.Place.improve ~arch:Cost_model.Btb ~profile program decisions
   in
-  let base = penalties ~max_steps ~profile ?trace base_image in
-  let placed = penalties ~max_steps ~profile ?trace place.Ba_conflict.Place.image in
+  let base = penalties ~max_steps ~profile ~trace base_image in
+  let placed = penalties ~max_steps ~profile ~trace place.Ba_conflict.Place.image in
   let total a = Array.fold_left ( + ) 0 a in
   let applied = total placed <= total base in
   {
@@ -72,9 +70,9 @@ let evaluate ?max_steps ?(tryn = 15) ?(replay = true)
     pad_slots = Array.fold_left ( + ) 0 place.Ba_conflict.Place.pads;
   }
 
-let evaluate_suite ?max_steps ?tryn ?jobs ?replay workloads =
+let evaluate_suite ?max_steps ?tryn ?jobs workloads =
   Ba_par.Pool.with_pool ?jobs (fun pool ->
-      Ba_par.Pool.map pool (evaluate ?max_steps ?tryn ?replay) workloads)
+      Ba_par.Pool.map pool (evaluate ?max_steps ?tryn) workloads)
 
 let render rows =
   let open Ba_util.Ascii_table in

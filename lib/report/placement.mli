@@ -31,7 +31,7 @@ val arch_labels : string list
 val penalties :
   max_steps:int ->
   profile:Ba_cfg.Profile.t ->
-  ?trace:Ba_trace.Trace.t ->
+  trace:Ba_trace.Trace.t ->
   Ba_layout.Image.t ->
   int array
 (** Penalty cycles of one image per {!Harness.full_archs} architecture
@@ -39,14 +39,12 @@ val penalties :
     report scores its images through the same helper so the columns
     match. *)
 
-val evaluate :
-  ?max_steps:int -> ?tryn:int -> ?replay:bool -> Ba_workloads.Spec.t -> row
+val evaluate : ?max_steps:int -> ?tryn:int -> Ba_workloads.Spec.t -> row
 
 val evaluate_suite :
   ?max_steps:int ->
   ?tryn:int ->
   ?jobs:int ->
-  ?replay:bool ->
   Ba_workloads.Spec.t list ->
   row list
 (** Deterministic parallel evaluation, as {!Harness.evaluate_suite}. *)

@@ -62,13 +62,20 @@ end
 (** {1 Disk format}
 
     Magic ["BAST1\n"], then the program seed (zigzag varint), the recording
-    [max_steps], and the six trace fields — all varints via the
-    {!Ba_exec.Trace_io} coder, streams as raw bytes.  The seed and budget
-    let [branch_align trace replay] refuse a trace recorded for a different
+    [max_steps], and the six trace fields — counts and lengths as unsigned
+    LEB128 varints, streams as raw bytes.  The seed and budget let
+    [branch_align trace replay] refuse a trace recorded for a different
     program or budget. *)
 
 type file = { seed : int; max_steps : int; trace : t }
 
 val save : path:string -> seed:int -> max_steps:int -> t -> unit
+(** Atomic: the file is written beside [path] and renamed over it, so a
+    save that fails part-way leaves [path] as it was. *)
+
 val load : path:string -> file
-(** Raises [Failure] on bad magic or a truncated file. *)
+(** Raises [Failure] on any malformed file: bad magic, a truncated field,
+    a varint that does not fit a non-negative int, a length running past
+    the end of the file, a cond stream other than [ceil (n_conds / 8)]
+    bytes, a choice stream other than [n_choices] whole varints, or bytes
+    after the choice stream. *)

@@ -1,7 +1,7 @@
 (** FNV-1a 64-bit hashing.
 
     The repo's one digest primitive: certificate digests
-    ([Ba_verify.Certificate]) and memo keys ([Ba_par.Memo] consumers) both
+    ([Ba_verify.Certificate]) and cache keys ([Ba_workloads.Profiled]) both
     use it, so a digest printed anywhere can be recomputed from the same
     canonical string with this module. *)
 

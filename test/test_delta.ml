@@ -9,8 +9,9 @@
    exactness contract through the public API alone: totals bit-equal to a
    fresh lowering, move+inverse restoring the total bit-for-bit, disjoint
    moves composing additively, and deltas agreeing with the certified
-   totals of two fully-certified layouts.  The equality gates pin that
-   the [?delta] switches change nothing but speed. *)
+   totals of two fully-certified layouts.  The oracles re-price what the
+   placement guard and the gap table compute incrementally with fresh
+   lowerings and full trace replays. *)
 
 open Ba_delta
 
@@ -367,7 +368,9 @@ let test_delta_vs_certificates () =
     (sample 8 (moves_of proc model))
 
 (* ------------------------------------------------------------------ *)
-(* Equality gates: the ?delta switches change the speed, not the result. *)
+(* Oracles for the production paths that price through Ba_delta: the
+   placement swap guard against fresh lowerings, and the gap table against
+   full trace replays. *)
 
 let check_same_decisions what (a : Ba_layout.Decision.t array)
     (b : Ba_layout.Decision.t array) =
@@ -388,65 +391,102 @@ let check_same_decisions what (a : Ba_layout.Decision.t array)
         da.Ba_layout.Decision.neither)
     a
 
-let test_tryn_delta_gate () =
+(* Place's swap guard, replayed on original layouts (an aligned layout
+   leaves the guard nothing to accept): walk every procedure's adjacent
+   swaps and commit each one that does not raise the cost, as the guard
+   does.  Every preview and every post-commit total must equal a fresh
+   lowering priced by Layout_cost. *)
+let test_place_guard_oracle () =
+  let arch = Ba_core.Cost_model.Btb in
+  let previews = ref 0 and commits = ref 0 in
   List.iter
     (fun name ->
-      let w = Matrix.workload name in
-      let _, profile = Ba_workloads.Profiled.get ~max_steps:wall_steps w in
-      let fast =
-        Ba_core.Align.align_program (Ba_core.Align.Tryn 15) ~delta:true
-          ~arch:Ba_core.Cost_model.Btfnt profile
+      let program, profile =
+        Ba_workloads.Profiled.get ~max_steps:wall_steps (Matrix.workload name)
       in
-      let slow =
-        Ba_core.Align.align_program (Ba_core.Align.Tryn 15) ~delta:false
-          ~arch:Ba_core.Cost_model.Btfnt profile
-      in
-      check_same_decisions (name ^ "/try15") fast slow)
-    [ "espresso"; "li"; "wave5" ]
+      for pid = 0 to Ba_ir.Program.n_procs program - 1 do
+        let proc = Ba_ir.Program.proc program pid in
+        let cond_counts b = Ba_cfg.Profile.cond_counts profile pid b in
+        let visits b = Ba_cfg.Profile.visits profile pid b in
+        let fresh d =
+          Ba_core.Layout_cost.branch_cost ~arch ~visits ~cond_counts
+            (Ba_layout.Lower.lower ~cond_counts proc d)
+        in
+        let len = Ba_ir.Proc.n_blocks proc in
+        if len > 2 then begin
+          let decision = ref (Ba_layout.Decision.identity proc) in
+          let model = Model.create ~arch ~visits ~cond_counts proc !decision in
+          for pos = 1 to len - 2 do
+            let what = Printf.sprintf "%s proc %d swap %d" name pid pos in
+            let swapped =
+              Ba_layout.Decision.swap_positions !decision pos (pos + 1)
+            in
+            let preview = Model.preview model (Move.Swap pos) in
+            incr previews;
+            Alcotest.check exact_float (what ^ ": preview") (fresh swapped)
+              preview;
+            if preview <= Model.total model +. 1e-6 then begin
+              Model.commit model (Move.Swap pos);
+              decision := swapped;
+              incr commits;
+              Alcotest.check exact_float (what ^ ": committed total")
+                (fresh swapped) (Model.total model)
+            end
+          done
+        end
+      done)
+    [ "eqntott"; "espresso"; "gcc"; "wave5" ];
+  Printf.printf "place guard oracle: %d previews, %d commits, all exact\n"
+    !previews !commits;
+  Alcotest.(check bool) "the walk commits at least one swap" true (!commits > 0)
 
-let test_place_delta_gate () =
+(* Re-price eqntott's k = 2 gap cells by full trace replay: every
+   algorithm's layout, and the Optimal-k search handed a replaying cost
+   function.  Every column must match what Gap prices incrementally. *)
+let test_gap_replay_oracle () =
   let w = Matrix.workload "eqntott" in
-  let program, profile = Ba_workloads.Profiled.get ~max_steps:wall_steps w in
-  let decisions =
-    Ba_core.Align.align_program (Ba_core.Align.Tryn 15)
-      ~arch:Ba_core.Cost_model.Btb profile
+  let row = Ba_report.Gap.evaluate ~max_steps:wall_steps ~k:2 w in
+  let program, profile, trace =
+    Ba_workloads.Profiled.get_traced ~max_steps:wall_steps w
   in
-  let fast =
-    Ba_conflict.Place.improve ~arch:Ba_core.Cost_model.Btb ~delta:true ~profile
-      program decisions
-  in
-  let slow =
-    Ba_conflict.Place.improve ~arch:Ba_core.Cost_model.Btb ~delta:false
-      ~profile program decisions
-  in
-  check_same_decisions "place" fast.Ba_conflict.Place.decisions
-    slow.Ba_conflict.Place.decisions;
-  Alcotest.(check (array int))
-    "place: same pads" fast.Ba_conflict.Place.pads slow.Ba_conflict.Place.pads;
-  Alcotest.(check int)
-    "place: same swap count" fast.Ba_conflict.Place.swaps
-    slow.Ba_conflict.Place.swaps
-
-let test_gap_delta_gate () =
-  let w = Matrix.workload "eqntott" in
-  let row d = Ba_report.Gap.evaluate ~max_steps:wall_steps ~k:2 ~delta:d w in
-  let fast = row true and slow = row false in
   List.iter2
-    (fun (f : Ba_report.Gap.cell) (s : Ba_report.Gap.cell) ->
-      let what fmt =
-        Printf.sprintf "gap/%s: %s"
-          (Ba_core.Cost_model.arch_name f.Ba_report.Gap.model)
-          fmt
+    (fun model (c : Ba_report.Gap.cell) ->
+      let replay decisions =
+        let image = Ba_layout.Image.build ~profile program decisions in
+        let arch = Ba_bound.Analyze.arch_of_model model ~profile image in
+        let out =
+          Ba_sim.Runner.simulate ~max_steps:wall_steps ~trace ~archs:[ arch ]
+            image
+        in
+        Ba_sim.Bep.bep (snd out.Ba_sim.Runner.sims.(0))
       in
-      Alcotest.(check int) (what "greedy") s.Ba_report.Gap.greedy f.Ba_report.Gap.greedy;
-      Alcotest.(check int) (what "cost") s.Ba_report.Gap.cost f.Ba_report.Gap.cost;
-      Alcotest.(check int) (what "tryn") s.Ba_report.Gap.tryn f.Ba_report.Gap.tryn;
-      Alcotest.(check int) (what "anneal") s.Ba_report.Gap.anneal f.Ba_report.Gap.anneal;
-      Alcotest.(check int) (what "optimal") s.Ba_report.Gap.optimal f.Ba_report.Gap.optimal;
-      Alcotest.(check int) (what "simulated+pruned")
-        (s.Ba_report.Gap.simulated + s.Ba_report.Gap.pruned)
-        (f.Ba_report.Gap.simulated + f.Ba_report.Gap.pruned))
-    fast.Ba_report.Gap.cells slow.Ba_report.Gap.cells
+      let bounds decisions =
+        let image = Ba_layout.Image.build ~profile program decisions in
+        let arch = Ba_bound.Analyze.arch_of_model model ~profile image in
+        let i = Ba_bound.Analyze.bounds ~arch ~profile image in
+        (i.Ba_bound.Domain.lo, i.Ba_bound.Domain.hi)
+      in
+      let layout algo = Ba_core.Align.align_program algo ~arch:model profile in
+      let base = layout (Ba_core.Align.Tryn 15) in
+      let r = Ba_core.Optimal.search ~k:2 ~bounds ~cost:replay ~profile base in
+      let check what want got =
+        Alcotest.(check int)
+          (Printf.sprintf "gap/%s: %s" (Ba_core.Cost_model.arch_name model) what)
+          want got
+      in
+      check "greedy" (replay (layout Ba_core.Align.Greedy)) c.Ba_report.Gap.greedy;
+      check "cost" (replay (layout Ba_core.Align.Cost)) c.Ba_report.Gap.cost;
+      check "exttsp" (replay (layout Ba_core.Align.ExtTsp)) c.Ba_report.Gap.exttsp;
+      check "try15" (replay base) c.Ba_report.Gap.tryn;
+      check "anneal"
+        (replay (Anneal.align_program ~arch:model profile))
+        c.Ba_report.Gap.anneal;
+      check "optimal" r.Ba_core.Optimal.best_cost c.Ba_report.Gap.optimal;
+      check "optimal lower" r.Ba_core.Optimal.best_lower c.Ba_report.Gap.opt_lower;
+      check "candidates" r.Ba_core.Optimal.candidates c.Ba_report.Gap.candidates;
+      check "simulated" r.Ba_core.Optimal.simulated c.Ba_report.Gap.simulated;
+      check "pruned" r.Ba_core.Optimal.pruned c.Ba_report.Gap.pruned)
+    Ba_report.Gap.models row.Ba_report.Gap.cells
 
 (* ------------------------------------------------------------------ *)
 (* The annealing search: deterministic, and never worse than Greedy
@@ -514,14 +554,12 @@ let suites =
         Alcotest.test_case "delta = certified layout difference" `Slow
           test_delta_vs_certificates;
       ] );
-    ( "delta.gates",
+    ( "delta.oracles",
       [
-        Alcotest.test_case "Try15 identical with and without delta" `Slow
-          test_tryn_delta_gate;
-        Alcotest.test_case "placement identical with and without delta" `Slow
-          test_place_delta_gate;
-        Alcotest.test_case "gap table identical with and without delta" `Slow
-          test_gap_delta_gate;
+        Alcotest.test_case "place guard = fresh lowering" `Slow
+          test_place_guard_oracle;
+        Alcotest.test_case "gap cells = full replays" `Slow
+          test_gap_replay_oracle;
       ] );
     ( "delta.anneal",
       [

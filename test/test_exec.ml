@@ -228,72 +228,6 @@ let test_trace_stats () =
   Alcotest.(check (float 0.01)) "pct cbr" (100.0 *. 10.0 /. 19.0) s.Trace_stats.pct_cbr;
   Alcotest.(check (float 0.01)) "pct br" (100.0 *. 9.0 /. 19.0) s.Trace_stats.pct_br
 
-(* -- Trace_io -------------------------------------------------------------- *)
-
-let tmp_trace_path suffix = Filename.temp_file "ba_trace" suffix
-
-let test_trace_roundtrip () =
-  let prog = call_program () in
-  let image = Image.original prog in
-  let recorded = ref [] in
-  let path = tmp_trace_path ".trace" in
-  let result =
-    Trace_io.record ~path (fun ~on_event ->
-        Engine.run
-          ~on_event:(fun e ->
-            recorded := e :: !recorded;
-            on_event e)
-          image)
-  in
-  let replayed = ref [] in
-  let n = Trace_io.replay ~path (fun e -> replayed := e :: !replayed) in
-  Sys.remove path;
-  Alcotest.(check int) "event count" result.Engine.branches n;
-  Alcotest.(check bool) "events identical" true (!recorded = !replayed)
-
-let test_trace_bad_magic () =
-  let path = tmp_trace_path ".bad" in
-  let oc = open_out_bin path in
-  output_string oc "NOTATRACE";
-  close_out oc;
-  Alcotest.(check bool) "bad magic rejected" true
-    (try
-       ignore (Trace_io.replay ~path (fun _ -> ()));
-       false
-     with Failure _ -> true);
-  Sys.remove path
-
-let test_trace_replay_predictions_match_live () =
-  (* Replaying a trace through a predictor must give exactly the penalties a
-     live run gives. *)
-  let prog =
-    Program.make ~name:"replay" ~seed:21
-      [|
-        Proc.make ~name:"main"
-          [|
-            Block.make ~insns:2 (cond ~behavior:(Behavior.Loop 37) 1 2);
-            Block.make ~insns:3 (Term.Jump 0);
-            Block.make ~insns:1 Term.Halt;
-          |];
-      |]
-  in
-  let image = Image.original prog in
-  let live = Ba_sim.Bep.create Ba_sim.Bep.Static_btfnt in
-  let path = tmp_trace_path ".trace" in
-  let (_ : Engine.result) =
-    Trace_io.record ~path (fun ~on_event ->
-        Engine.run
-          ~on_event:(fun e ->
-            Ba_sim.Bep.on_event live e;
-            on_event e)
-          image)
-  in
-  let offline = Ba_sim.Bep.create Ba_sim.Bep.Static_btfnt in
-  let (_ : int) = Trace_io.replay ~path (Ba_sim.Bep.on_event offline) in
-  Sys.remove path;
-  Alcotest.(check int) "same bep" (Ba_sim.Bep.bep live) (Ba_sim.Bep.bep offline);
-  Alcotest.(check bool) "same counts" true (Ba_sim.Bep.counts live = Ba_sim.Bep.counts offline)
-
 let qcheck_cases =
   let open QCheck in
   [
@@ -309,21 +243,14 @@ let qcheck_cases =
         let r = Engine.run ~max_steps:2_000 (Image.original p) in
         r.Engine.branches <= r.Engine.insns);
     Test.make ~name:"trace files round-trip" ~count:30 Gen_prog.program_arb (fun p ->
-        let image = Image.original p in
-        let recorded = ref [] in
-        let path = Filename.temp_file "ba_qc" ".trace" in
-        let (_ : Engine.result) =
-          Trace_io.record ~path (fun ~on_event ->
-              Engine.run ~max_steps:1_000
-                ~on_event:(fun e ->
-                  recorded := e :: !recorded;
-                  on_event e)
-                image)
-        in
-        let replayed = ref [] in
-        let (_ : int) = Trace_io.replay ~path (fun e -> replayed := e :: !replayed) in
+        let _, trace = Ba_trace.Record.run ~max_steps:1_000 (Image.original p) in
+        let path = Filename.temp_file "ba_qc" ".bast" in
+        Ba_trace.Trace.save ~path ~seed:p.Program.seed ~max_steps:1_000 trace;
+        let f = Ba_trace.Trace.load ~path in
         Sys.remove path;
-        !recorded = !replayed);
+        f.Ba_trace.Trace.seed = p.Program.seed
+        && f.Ba_trace.Trace.max_steps = 1_000
+        && Ba_trace.Trace.equal f.Ba_trace.Trace.trace trace);
   ]
 
 let suites =
@@ -342,11 +269,5 @@ let suites =
       ] );
     ( "exec.trace_stats",
       [ Alcotest.test_case "loop stats" `Quick test_trace_stats ] );
-    ( "exec.trace_io",
-      [
-        Alcotest.test_case "roundtrip" `Quick test_trace_roundtrip;
-        Alcotest.test_case "bad magic" `Quick test_trace_bad_magic;
-        Alcotest.test_case "replay matches live" `Quick test_trace_replay_predictions_match_live;
-      ] );
     ("exec.properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
   ]

@@ -1,5 +1,6 @@
-(* Tests for Ba_par: the deterministic Domain pool, the compute-once memo,
-   the library's reentrancy under concurrent simulation, and the
+(* Tests for Ba_par: the deterministic Domain pool, the compute-once cold
+   path of the Profiled cache built on it, the library's reentrancy under
+   concurrent simulation, and the
    differential guarantee the whole PR rests on — parallel evaluation
    renders byte-identical tables and identical certificate digests. *)
 
@@ -168,68 +169,6 @@ let test_jobs_of_string () =
           true
           (String.length msg > 0))
     [ "0"; "-1"; "-3"; "garbage"; ""; "1.5"; "4x" ]
-
-(* -- Memo ------------------------------------------------------------------- *)
-
-let test_memo_computes_once () =
-  let memo = Ba_par.Memo.create () in
-  let computes = ref 0 in
-  let compute () =
-    incr computes;
-    42
-  in
-  Alcotest.(check int) "first get computes" 42 (Ba_par.Memo.get memo ~key:"k" compute);
-  Alcotest.(check int) "second get shares" 42 (Ba_par.Memo.get memo ~key:"k" compute);
-  Alcotest.(check int) "exactly one compute" 1 !computes;
-  Alcotest.(check int) "one hit" 1 (Ba_par.Memo.hits memo);
-  Alcotest.(check int) "one miss" 1 (Ba_par.Memo.misses memo);
-  Alcotest.(check bool) "mem" true (Ba_par.Memo.mem memo "k");
-  Alcotest.(check int) "length" 1 (Ba_par.Memo.length memo)
-
-let test_memo_concurrent_single_compute () =
-  let memo = Ba_par.Memo.create () in
-  let computes = Atomic.make 0 in
-  let compute () =
-    Atomic.incr computes;
-    (* Give every other task time to pile up on the pending cell. *)
-    Unix.sleepf 0.02;
-    "shared"
-  in
-  Ba_par.Pool.with_pool ~jobs:4 (fun pool ->
-      let results =
-        Ba_par.Pool.map pool
-          (fun _ -> Ba_par.Memo.get memo ~key:"shared-key" compute)
-          (List.init 16 (fun i -> i))
-      in
-      Alcotest.(check (list string)) "all tasks see the one result"
-        (List.init 16 (fun _ -> "shared"))
-        results);
-  Alcotest.(check int) "compute ran exactly once" 1 (Atomic.get computes)
-
-let test_memo_caches_failure () =
-  let memo = Ba_par.Memo.create () in
-  let computes = ref 0 in
-  let compute () =
-    incr computes;
-    failwith "broken"
-  in
-  let expect_failure () =
-    match Ba_par.Memo.get memo ~key:"bad" compute with
-    | (_ : int) -> Alcotest.fail "expected Failure"
-    | exception Failure m -> Alcotest.(check string) "message" "broken" m
-  in
-  expect_failure ();
-  expect_failure ();
-  Alcotest.(check int) "failing compute also runs once" 1 !computes
-
-let test_memo_clear () =
-  let memo = Ba_par.Memo.create () in
-  let computes = ref 0 in
-  let compute () = incr computes; !computes in
-  ignore (Ba_par.Memo.get memo ~key:"k" compute : int);
-  Ba_par.Memo.clear memo;
-  Alcotest.(check int) "recomputes after clear" 2 (Ba_par.Memo.get memo ~key:"k" compute);
-  Alcotest.(check int) "counters reset" 1 (Ba_par.Memo.misses memo)
 
 (* -- Reentrancy: concurrent simulation ------------------------------------- *)
 
@@ -416,11 +355,6 @@ let suites =
       ] );
     ( "par.memo",
       [
-        Alcotest.test_case "computes once" `Quick test_memo_computes_once;
-        Alcotest.test_case "concurrent gets share one compute" `Quick
-          test_memo_concurrent_single_compute;
-        Alcotest.test_case "failure cached" `Quick test_memo_caches_failure;
-        Alcotest.test_case "clear" `Quick test_memo_clear;
         Alcotest.test_case "profiled memo cold path" `Slow test_profiled_cold_path;
       ] );
     ( "par.reentrancy",

@@ -8,9 +8,9 @@
    the tricky layout legs (inserted jumps, via-jump returns, truncation
    mid-call, switch/vcall varints); QCheck properties extend the claim to
    arbitrary generated programs and all four alignment algorithms; the
-   harness-level test proves the rendered tables are byte-identical with
-   replay on and off; and the memo gate proves the record-once promise —
-   one full evaluation costs exactly one interpreter run. *)
+   loader tests pin that a malformed file fails with [Failure] alone; and
+   the memo gate proves the record-once promise — one full evaluation
+   costs exactly one interpreter run. *)
 
 open Ba_ir
 open Ba_layout
@@ -296,6 +296,93 @@ let test_disk_bad_magic () =
       | _ -> Alcotest.fail "bad magic accepted"
       | exception Failure _ -> ())
 
+(* -- malformed files ------------------------------------------------------- *)
+
+let leb128 n =
+  let b = Buffer.create 10 in
+  let rec go n =
+    if n < 0x80 then Buffer.add_char b (Char.chr n)
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7F)));
+      go (n lsr 7)
+    end
+  in
+  go n;
+  Buffer.contents b
+
+(* A BAST1 file built field by field in [Trace.save]'s order: 10 outcomes
+   in 2 bytes, 2 indices in 3 bytes.  [conds_len] replaces the encoded
+   cond-stream length; [trailer] is appended after the choice stream. *)
+let bast_file ?conds_len ?(n_conds = 10) ?(conds = "\xa5\x02")
+    ?(n_choices = 2) ?(trailer = "") () =
+  let choices = "\x03\x81\x01" in
+  String.concat ""
+    [
+      "BAST1\n"; leb128 0; leb128 500; leb128 40; "\001"; leb128 n_conds;
+      Option.value conds_len ~default:(leb128 (String.length conds)); conds;
+      leb128 n_choices; leb128 (String.length choices); choices; trailer;
+    ]
+
+let load_string contents =
+  let path = Filename.temp_file "ba_trace" ".bast" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      Ba_trace.Trace.load ~path)
+
+let check_rejected what contents =
+  match load_string contents with
+  | _ -> Alcotest.failf "%s accepted" what
+  | exception Failure _ -> ()
+
+let test_load_length_past_eof () =
+  check_rejected "a 2^50-byte cond stream"
+    (bast_file ~conds_len:(leb128 (1 lsl 50)) ())
+
+let test_load_varint_overflow () =
+  check_rejected "a 10-byte varint wrapping negative"
+    (bast_file ~conds_len:"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01" ());
+  check_rejected "a varint past 62 bits"
+    (bast_file ~conds_len:"\x80\x80\x80\x80\x80\x80\x80\x80\x40" ())
+
+let test_load_cond_count () =
+  check_rejected "1000 outcomes over a 1-byte stream"
+    (bast_file ~n_conds:1000 ~conds:"\xa5" ());
+  check_rejected "10 outcomes over a 3-byte stream"
+    (bast_file ~conds:"\xa5\x02\x00" ())
+
+let test_load_choice_count () =
+  check_rejected "3 indices over 2 varints" (bast_file ~n_choices:3 ());
+  check_rejected "1 index over 2 varints" (bast_file ~n_choices:1 ())
+
+(* The untouched hand-built file loads, so each rejection above is down to
+   its one defect. *)
+let test_load_trailing_bytes () =
+  let t = (load_string (bast_file ())).Ba_trace.Trace.trace in
+  Alcotest.(check int) "outcomes" 10 t.Ba_trace.Trace.n_conds;
+  Alcotest.(check int) "indices" 2 t.Ba_trace.Trace.n_choices;
+  check_rejected "4 bytes after the choice stream"
+    (bast_file ~trailer:"\000\000\000\000" ())
+
+(* [save] writes beside its target and renames: the old file is replaced
+   whole and no temporary is left behind. *)
+let test_save_replaces_atomically () =
+  let program = call_program () in
+  let _profile, trace =
+    Ba_trace.Record.profile_and_record ~max_steps:500 program
+  in
+  let dir = Filename.temp_dir "ba_trace" "" in
+  let path = Filename.concat dir "t.bast" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "stale");
+  Ba_trace.Trace.save ~path ~seed:program.Program.seed ~max_steps:500 trace;
+  Alcotest.(check (array string)) "only the target remains" [| "t.bast" |]
+    (Sys.readdir dir);
+  Alcotest.(check bool) "the new trace replaced the old file" true
+    (Ba_trace.Trace.equal trace (Ba_trace.Trace.load ~path).Ba_trace.Trace.trace);
+  Sys.remove path;
+  Sys.rmdir dir
+
 (* -- record-once memo gate ------------------------------------------------- *)
 
 (* The tentpole promise, asserted on the real harness: one full workload
@@ -319,26 +406,6 @@ let test_record_once_memo_gate () =
   let hits, misses = Ba_workloads.Profiled.stats () in
   Alcotest.(check int) "still a single miss" 1 misses;
   Alcotest.(check bool) "subsequent lookups hit" true (hits > 0)
-
-(* Rendered tables must be byte-identical whether the harness interprets
-   every image or replays the recorded trace. *)
-let test_tables_identical_with_replay_off () =
-  let ws = List.filter_map Ba_workloads.Spec.by_name [ "alvinn"; "compress" ] in
-  Ba_workloads.Profiled.clear ();
-  let direct =
-    Ba_report.Harness.evaluate_suite ~max_steps:2_000 ~jobs:1 ~replay:false ws
-  in
-  Ba_workloads.Profiled.clear ();
-  let replay = Ba_report.Harness.evaluate_suite ~max_steps:2_000 ~jobs:1 ws in
-  List.iter
-    (fun (name, render) ->
-      Alcotest.(check string) name (render direct) (render replay))
-    [
-      ("table2", Ba_report.Tables.table2);
-      ("table3", Ba_report.Tables.table3);
-      ("table4", Ba_report.Tables.table4);
-      ("fig4", Ba_report.Tables.fig4);
-    ]
 
 (* -- QCheck properties ----------------------------------------------------- *)
 
@@ -474,6 +541,18 @@ let suites =
           test_builder_varints;
         Alcotest.test_case "disk round-trip" `Quick test_disk_roundtrip;
         Alcotest.test_case "bad magic rejected" `Quick test_disk_bad_magic;
+        Alcotest.test_case "length past end of file rejected" `Quick
+          test_load_length_past_eof;
+        Alcotest.test_case "varint overflow rejected" `Quick
+          test_load_varint_overflow;
+        Alcotest.test_case "cond stream/count mismatch rejected" `Quick
+          test_load_cond_count;
+        Alcotest.test_case "choice stream/count mismatch rejected" `Quick
+          test_load_choice_count;
+        Alcotest.test_case "trailing bytes rejected" `Quick
+          test_load_trailing_bytes;
+        Alcotest.test_case "save replaces atomically" `Quick
+          test_save_replaces_atomically;
       ] );
     ( "trace.replay",
       [
@@ -489,8 +568,6 @@ let suites =
       [
         Alcotest.test_case "record-once memo gate" `Slow
           test_record_once_memo_gate;
-        Alcotest.test_case "tables identical with replay off" `Slow
-          test_tables_identical_with_replay_off;
       ] );
     ( "trace.fuzz",
       List.map
