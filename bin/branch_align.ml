@@ -416,6 +416,88 @@ let plural n = if n = 1 then "" else "s"
    everything. *)
 let max_table_infos = 10
 
+(* The report printer shared by lint and verify.  Each row is a workload's
+   name, its diagnostics, its table summary (the text after the name, from
+   the error/warning/info counts) and the JSON fields placed before and
+   after the counts; the totals, the diagnostics table, the JSON envelope,
+   the closing line and the exit code are common.  [failed] forces exit 1
+   on top of errors (and, under [strict], warnings). *)
+let print_report ~command ~verb ~algo ~arch ~strict ~format ?(failed = false)
+    rows =
+  let total_errors = ref 0 and total_warnings = ref 0 and total_infos = ref 0 in
+  let table_rows = ref [] in
+  let json_workloads = ref [] in
+  List.iter
+    (fun (name, diags, summary, json_head, json_tail) ->
+      let e, warn, i = Ba_analysis.Diagnostic.count diags in
+      total_errors := !total_errors + e;
+      total_warnings := !total_warnings + warn;
+      total_infos := !total_infos + i;
+      match format with
+      | Json ->
+        let open Ba_util.Json in
+        json_workloads :=
+          Obj
+            ((("name", String name) :: json_head)
+            @ [ ("errors", Int e); ("warnings", Int warn); ("infos", Int i) ]
+            @ json_tail
+            @ [ ("diagnostics", List (List.map Ba_analysis.Diagnostic.to_json diags)) ])
+          :: !json_workloads
+      | Table ->
+        Printf.printf "%-12s %s\n" name (summary (e, warn, i));
+        let shown = ref 0 and hidden = ref 0 in
+        List.iter
+          (fun d ->
+            let info = d.Ba_analysis.Diagnostic.severity = Ba_analysis.Diagnostic.Info in
+            if info && !shown >= max_table_infos then incr hidden
+            else begin
+              if info then incr shown;
+              table_rows := (name :: Ba_analysis.Diagnostic.to_row d) :: !table_rows
+            end)
+          diags;
+        if !hidden > 0 then
+          table_rows :=
+            [ name; "info"; "..."; "..."
+            ; Printf.sprintf "(%d more info findings; use --format=json for all)"
+                !hidden ]
+            :: !table_rows)
+    rows;
+  (match format with
+  | Json ->
+    let open Ba_util.Json in
+    print_endline
+      (to_string
+         (Obj
+            [
+              ("command", String command);
+              ("algo", String (Ba_core.Align.algo_name algo));
+              ("arch", String (Ba_core.Cost_model.arch_name arch));
+              ( "totals",
+                Obj
+                  [
+                    ("errors", Int !total_errors); ("warnings", Int !total_warnings);
+                    ("infos", Int !total_infos);
+                  ] );
+              ("workloads", List (List.rev !json_workloads));
+            ]))
+  | Table ->
+    if !table_rows <> [] then begin
+      print_newline ();
+      print_string
+        (Ba_util.Ascii_table.render ~columns:diag_table_columns
+           ~rows:(List.rev !table_rows))
+    end;
+    Printf.printf
+      "\n%s %d workload%s (algorithm %s, cost model %s): %d error%s, %d \
+       warning%s, %d info\n"
+      verb (List.length rows)
+      (plural (List.length rows))
+      (Ba_core.Align.algo_name algo)
+      (Ba_core.Cost_model.arch_name arch)
+      !total_errors (plural !total_errors) !total_warnings (plural !total_warnings)
+      !total_infos);
+  if !total_errors > 0 || failed || (strict && !total_warnings > 0) then exit 1
+
 let image_for algo arch profile program =
   match algo with
   | Ba_core.Align.Original -> Ba_layout.Image.original ~profile program
@@ -469,99 +551,34 @@ let lint_cmd workload algo arch strict format max_steps jobs =
             (w, report))
           workloads)
   in
-  let total_errors = ref 0 and total_warnings = ref 0 and total_infos = ref 0 in
-  let rows = ref [] in
-  let json_workloads = ref [] in
-  List.iter
-    (fun ((w : Ba_workloads.Spec.t), report) ->
-      let diags = Ba_analysis.Run.diagnostics report in
-      let e, warn, i = Ba_analysis.Diagnostic.count diags in
-      total_errors := !total_errors + e;
-      total_warnings := !total_warnings + warn;
-      total_infos := !total_infos + i;
-      match format with
-      | Json ->
-        let open Ba_util.Json in
-        json_workloads :=
-          Obj
-            [
-              ("name", String w.Ba_workloads.Spec.name);
-              ("errors", Int e); ("warnings", Int warn); ("infos", Int i);
-              ( "stages",
-                List
-                  (List.map
-                     (fun s ->
-                       Obj
-                         [
-                           ("stage", String (Ba_analysis.Run.stage_name s));
-                           ("ran", Bool (Ba_analysis.Run.ran report s));
-                         ])
-                     Ba_analysis.Run.all_stages) );
-              ("diagnostics", List (List.map Ba_analysis.Diagnostic.to_json diags));
-            ]
-          :: !json_workloads
-      | Table ->
-        let stages =
-          String.concat ","
-            (List.map
-               (fun s ->
-                 Ba_analysis.Run.stage_name s
-                 ^ if Ba_analysis.Run.ran report s then "" else "(skipped)")
-               Ba_analysis.Run.all_stages)
-        in
-        Printf.printf "%-12s %d error%s, %d warning%s, %d info  [%s]\n"
-          w.Ba_workloads.Spec.name e (plural e) warn (plural warn) i stages;
-        let shown = ref 0 and hidden = ref 0 in
-        List.iter
-          (fun d ->
-            if d.Ba_analysis.Diagnostic.severity <> Ba_analysis.Diagnostic.Info
-            then rows := (w.Ba_workloads.Spec.name :: Ba_analysis.Diagnostic.to_row d) :: !rows
-            else if !shown < max_table_infos then begin
-              incr shown;
-              rows := (w.Ba_workloads.Spec.name :: Ba_analysis.Diagnostic.to_row d) :: !rows
-            end
-            else incr hidden)
-          diags;
-        if !hidden > 0 then
-          rows :=
-            [ w.Ba_workloads.Spec.name; "info"; "..."; "..."
-            ; Printf.sprintf "(%d more info findings; use --format=json for all)"
-                !hidden ]
-            :: !rows)
-    reports;
-  (match format with
-  | Json ->
-    let open Ba_util.Json in
-    print_endline
-      (to_string
-         (Obj
-            [
-              ("command", String "lint");
-              ("algo", String (Ba_core.Align.algo_name algo));
-              ("arch", String (Ba_core.Cost_model.arch_name arch));
-              ( "totals",
-                Obj
-                  [
-                    ("errors", Int !total_errors); ("warnings", Int !total_warnings);
-                    ("infos", Int !total_infos);
-                  ] );
-              ("workloads", List (List.rev !json_workloads));
-            ]))
-  | Table ->
-    if !rows <> [] then begin
-      print_newline ();
-      print_string
-        (Ba_util.Ascii_table.render ~columns:diag_table_columns ~rows:(List.rev !rows))
-    end;
-    Printf.printf
-      "\nlinted %d workload%s (algorithm %s, cost model %s): %d error%s, %d warning%s, %d info\n"
-      (List.length reports)
-      (plural (List.length reports))
-      (Ba_core.Align.algo_name algo)
-      (Ba_core.Cost_model.arch_name arch)
-      !total_errors (plural !total_errors) !total_warnings (plural !total_warnings)
-      !total_infos);
-  if !total_errors > 0 || (strict && !total_warnings > 0) then exit 1
+  print_report ~command:"lint" ~verb:"linted" ~algo ~arch ~strict ~format
+    (List.map
+       (fun ((w : Ba_workloads.Spec.t), report) ->
+         let ran s = Ba_analysis.Run.ran report s in
+         let summary (e, warn, i) =
+           Printf.sprintf "%d error%s, %d warning%s, %d info  [%s]" e (plural e)
+             warn (plural warn) i
+             (String.concat ","
+                (List.map
+                   (fun s ->
+                     Ba_analysis.Run.stage_name s ^ if ran s then "" else "(skipped)")
+                   Ba_analysis.Run.all_stages))
+         in
+         let stages =
+           Ba_util.Json.(
+             List
+               (List.map
+                  (fun s ->
+                    Obj
+                      [
+                        ("stage", String (Ba_analysis.Run.stage_name s));
+                        ("ran", Bool (ran s));
+                      ])
+                  Ba_analysis.Run.all_stages))
+         in
+         ( w.Ba_workloads.Spec.name, Ba_analysis.Run.diagnostics report, summary,
+           [], [ ("stages", stages) ] ))
+       reports)
 
 let verify_cmd workload algo arch strict no_audit interproc format max_steps jobs =
   let workloads =
@@ -586,96 +603,29 @@ let verify_cmd workload algo arch strict no_audit interproc format max_steps job
                 ~audit:(not no_audit) ~interproc ~algo ~pool program ))
           workloads)
   in
-  let total_errors = ref 0 and total_warnings = ref 0 and total_infos = ref 0 in
-  let rows = ref [] in
-  let json_workloads = ref [] in
-  List.iter
-    (fun ((w : Ba_workloads.Spec.t), result) ->
-      let diags = Ba_verify.Run.diagnostics result in
-      let e, warn, i = Ba_analysis.Diagnostic.count diags in
-      total_errors := !total_errors + e;
-      total_warnings := !total_warnings + warn;
-      total_infos := !total_infos + i;
-      match format with
-      | Json ->
-        let open Ba_util.Json in
-        json_workloads :=
-          Obj
-            [
-              ("name", String w.Ba_workloads.Spec.name);
-              ("verified", Bool result.Ba_verify.Run.verified);
-              ("errors", Int e); ("warnings", Int warn); ("infos", Int i);
-              ( "certificates",
-                List
-                  (List.map Ba_verify.Certificate.to_json
-                     result.Ba_verify.Run.certificates) );
-              ("diagnostics", List (List.map Ba_analysis.Diagnostic.to_json diags));
-            ]
-          :: !json_workloads
-      | Table ->
-        Printf.printf
-          "%-12s %s  %d certificate%s, %d error%s, %d warning%s, %d improvable \
-           site%s\n"
-          w.Ba_workloads.Spec.name
-          (if result.Ba_verify.Run.verified then "verified" else "NOT VERIFIED")
-          (List.length result.Ba_verify.Run.certificates)
-          (plural (List.length result.Ba_verify.Run.certificates))
-          e (plural e) warn (plural warn) i (plural i);
-        let shown = ref 0 and hidden = ref 0 in
-        List.iter
-          (fun d ->
-            if d.Ba_analysis.Diagnostic.severity <> Ba_analysis.Diagnostic.Info
-            then rows := (w.Ba_workloads.Spec.name :: Ba_analysis.Diagnostic.to_row d) :: !rows
-            else if !shown < max_table_infos then begin
-              incr shown;
-              rows := (w.Ba_workloads.Spec.name :: Ba_analysis.Diagnostic.to_row d) :: !rows
-            end
-            else incr hidden)
-          diags;
-        if !hidden > 0 then
-          rows :=
-            [ w.Ba_workloads.Spec.name; "info"; "..."; "..."
-            ; Printf.sprintf "(%d more info findings; use --format=json for all)"
-                !hidden ]
-            :: !rows)
-    results;
-  (match format with
-  | Json ->
-    let open Ba_util.Json in
-    print_endline
-      (to_string
-         (Obj
-            [
-              ("command", String "verify");
-              ("algo", String (Ba_core.Align.algo_name algo));
-              ("arch", String (Ba_core.Cost_model.arch_name arch));
-              ( "totals",
-                Obj
-                  [
-                    ("errors", Int !total_errors); ("warnings", Int !total_warnings);
-                    ("infos", Int !total_infos);
-                  ] );
-              ("workloads", List (List.rev !json_workloads));
-            ]))
-  | Table ->
-    if !rows <> [] then begin
-      print_newline ();
-      print_string
-        (Ba_util.Ascii_table.render ~columns:diag_table_columns ~rows:(List.rev !rows))
-    end;
-    Printf.printf
-      "\nverified %d workload%s (algorithm %s, cost model %s): %d error%s, %d \
-       warning%s, %d info\n"
-      (List.length results)
-      (plural (List.length results))
-      (Ba_core.Align.algo_name algo)
-      (Ba_core.Cost_model.arch_name arch)
-      !total_errors (plural !total_errors) !total_warnings (plural !total_warnings)
-      !total_infos);
   let unverified =
     List.exists (fun (_, r) -> not r.Ba_verify.Run.verified) results
   in
-  if !total_errors > 0 || unverified || (strict && !total_warnings > 0) then exit 1
+  print_report ~command:"verify" ~verb:"verified" ~algo ~arch ~strict ~format
+    ~failed:unverified
+    (List.map
+       (fun ((w : Ba_workloads.Spec.t), result) ->
+         let verified = result.Ba_verify.Run.verified in
+         let certs = result.Ba_verify.Run.certificates in
+         let summary (e, warn, i) =
+           Printf.sprintf
+             "%s  %d certificate%s, %d error%s, %d warning%s, %d improvable site%s"
+             (if verified then "verified" else "NOT VERIFIED")
+             (List.length certs) (plural (List.length certs)) e (plural e) warn
+             (plural warn) i (plural i)
+         in
+         ( w.Ba_workloads.Spec.name, Ba_verify.Run.diagnostics result, summary,
+           [ ("verified", Ba_util.Json.Bool verified) ],
+           [
+             ( "certificates",
+               Ba_util.Json.List (List.map Ba_verify.Certificate.to_json certs) );
+           ] ))
+       results)
 
 (* Static predictor-interference analysis: evaluate every predictor
    structure's pure indexing function over the aligned image's address map,

@@ -506,8 +506,6 @@ let create ?(penalties = Bep.default_penalties) ?(ras_depth = 32)
 
 let specs t = Array.copy t.specs
 
-let n_steps t = t.stream.Stream.n_steps
-
 let stats t = t.stats
 
 let cost t decisions =

@@ -62,7 +62,6 @@ val create :
     replay for at most [scoped_max = 32] changed sites. *)
 
 val specs : t -> spec array
-val n_steps : t -> int
 val stats : t -> stats
 
 val cost : t -> Ba_layout.Decision.t array -> int array

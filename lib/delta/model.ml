@@ -107,8 +107,6 @@ let branch_site (s : Layout_cost.site) =
   s.Layout_cost.s_cond +. s.Layout_cost.s_uncond +. s.Layout_cost.s_calls
   +. s.Layout_cost.s_indirect +. s.Layout_cost.s_returns
 
-let site_values t = Array.map branch_site t.sites
-
 let check_swap t i =
   let n = Array.length t.order in
   if i < 1 || i + 1 > n - 1 then

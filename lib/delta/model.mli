@@ -7,11 +7,10 @@
 
     Exactness contract: {!total} and {!preview} are bit-equal to
     {!Ba_core.Layout_cost.branch_cost} of the corresponding freshly
-    lowered layout, {!site_values} is bit-equal to
-    {!Ba_core.Layout_cost.per_block}, and {!delta} equals the sum of the
-    per-position differences over the move's window (positions outside the
-    window are untouched bit-for-bit).  The move-algebra tests in
-    [test_delta.ml] enforce all three. *)
+    lowered layout, and {!delta} equals the sum of the per-position
+    differences over the move's window (positions outside the window are
+    untouched bit-for-bit).  The move-algebra tests in [test_delta.ml]
+    enforce both. *)
 
 type t
 
@@ -34,10 +33,6 @@ val decision : t -> Ba_layout.Decision.t
 val total : t -> float
 (** Exact branch cost of the current layout under the model's
     architecture — bit-equal to {!Ba_core.Layout_cost.branch_cost}. *)
-
-val site_values : t -> float array
-(** Per-position branch cycles — bit-equal to
-    {!Ba_core.Layout_cost.per_block}. *)
 
 val preview : t -> Move.local -> float
 (** Branch cost of the layout after the move, without committing it.

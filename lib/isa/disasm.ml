@@ -40,10 +40,6 @@ let proc_lines (t : Codegen.listing) pid =
 
 let proc_listing t pid = String.concat "\n" (proc_lines t pid) ^ "\n"
 
-let program_listing t =
-  let n = Ba_ir.Program.n_procs t.Codegen.image.Image.program in
-  String.concat "\n" (List.concat (List.init n (fun pid -> proc_lines t pid))) ^ "\n"
-
 let side_by_side ~original ~aligned pid =
   let left = proc_lines original pid in
   let right = proc_lines aligned pid in

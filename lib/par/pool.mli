@@ -1,6 +1,6 @@
 (** A deterministic Domain-based work pool.
 
-    The evaluation matrices (tables, lint-all, verify-all, bench) are
+    The evaluation matrices (tables, lint-all, verify-all) are
     embarrassingly parallel grids, but every rendered table must be
     bit-for-bit identical whatever the scheduling.  The pool guarantees
     that by construction: tasks are claimed from a shared index counter,

@@ -17,25 +17,6 @@ let total_task_seconds t = Array.fold_left ( +. ) 0.0 t.task_seconds
 let speedup t =
   if t.wall_seconds <= 0.0 then 0.0 else total_task_seconds t /. t.wall_seconds
 
-let to_json t =
-  let open Ba_util.Json in
-  Obj
-    [
-      ("label", String t.label);
-      ("jobs", Int t.jobs);
-      ("tasks", Int (tasks t));
-      ("wall_seconds", Float t.wall_seconds);
-      ("task_seconds_total", Float (total_task_seconds t));
-      ("speedup", Float (speedup t));
-      ( "tasks_detail",
-        List
-          (Array.to_list
-             (Array.map2
-                (fun label seconds ->
-                  Obj [ ("label", String label); ("seconds", Float seconds) ])
-                t.task_labels t.task_seconds)) );
-    ]
-
 let render t =
   let columns =
     Ba_util.Ascii_table.[ column ~align:Left "task"; column "seconds" ]

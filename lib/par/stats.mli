@@ -30,8 +30,6 @@ val total_task_seconds : t -> float
 val speedup : t -> float
 (** [total_task_seconds / wall_seconds]; 0 when the wall time is 0. *)
 
-val to_json : t -> Ba_util.Json.t
-
 val render : t -> string
 (** Human-readable ASCII table: one row per task plus a summary line. *)
 

@@ -70,8 +70,6 @@ let touch_range t ~addr ~size =
 let misses t = t.misses
 let accesses t = t.accesses
 
-let miss_rate t = if t.accesses = 0 then 0.0 else float_of_int t.misses /. float_of_int t.accesses
-
 let flush_obs t =
   Ba_obs.Counter.add m_access (t.accesses - t.flushed_accesses);
   Ba_obs.Counter.add m_miss (t.misses - t.flushed_misses);

@@ -246,8 +246,5 @@ let write_frame fd payload =
   let framed = frame payload in
   really_write fd (Bytes.unsafe_of_string framed) 0 (String.length framed)
 
-let write_response fd (r : response) =
-  write_frame fd (Ba_util.Json.to_string (response_to_json r))
-
 let write_request fd (r : request) =
   write_frame fd (Ba_util.Json.to_string (request_to_json r))

@@ -67,13 +67,12 @@ module Framer : sig
   (** Pop the next complete payload, in arrival order. *)
 end
 
-(** {1 Blocking IO} — used by the client and the tests; the server's IO
-    loop uses {!Framer} over non-blocking reads instead. *)
+(** {1 Blocking IO} — used by the test client and the benchmark; the
+    server's IO loop uses {!Framer} over non-blocking reads instead. *)
 
 val read_frame : Unix.file_descr -> string option
 (** [None] on a clean EOF at a frame boundary; raises [End_of_file] on a
     truncated frame and [Failure] on an oversized one. *)
 
 val write_frame : Unix.file_descr -> string -> unit
-val write_response : Unix.file_descr -> response -> unit
 val write_request : Unix.file_descr -> request -> unit

@@ -107,4 +107,3 @@ let flush_obs t =
 
 let misfetches t = t.misfetches
 let mispredicts t = t.mispredicts
-let icache_misses t = Icache.misses t.icache

@@ -55,4 +55,3 @@ val cycles : t -> insns:int -> float
 
 val misfetches : t -> int
 val mispredicts : t -> int
-val icache_misses : t -> int

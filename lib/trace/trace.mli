@@ -36,7 +36,7 @@ type t = {
     without call overhead; treat values as immutable. *)
 
 val byte_size : t -> int
-(** Payload bytes (both streams), the number reported by [bench]. *)
+(** Payload bytes (both streams), the size [trace record] reports. *)
 
 val equal : t -> t -> bool
 (** Structural equality of the full decision stream (used by the save/load

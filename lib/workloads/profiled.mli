@@ -1,7 +1,7 @@
 (** Memoized workload profiling and trace recording.
 
     Every matrix in the repo (the table harness, lint-all, verify-all, the
-    bench pipelines) starts a cell by building a workload and profiling it —
+    server's requests) starts a cell by building a workload and profiling it —
     and both the profile and the semantic decision stream are
     layout-independent, so re-running the interpreter for every algorithm ×
     architecture cell is pure waste.  This module runs the interpreter

@@ -329,21 +329,21 @@ let start_server ?(jobs = 2) ?(queue_len = 256) ?(batch_max = 64)
 
 let test_server_ping_align_metrics () =
   let sock, h = start_server () in
-  let cl = Ba_serve.Client.connect sock in
-  let pong = Ba_serve.Client.call cl (P.request ~id:1 P.Ping) in
+  let cl = Client.connect sock in
+  let pong = Client.call cl (P.request ~id:1 P.Ping) in
   Alcotest.(check bool) "ping ok" true (pong.P.status = P.Ok_);
   Alcotest.(check (option int)) "pong body" (Some 1)
     (Option.bind (J.member "pong" pong.P.body) (fun j ->
          match j with J.Bool true -> Some 1 | _ -> None));
   let al =
-    Ba_serve.Client.call cl
+    Client.call cl
       (P.request ~workload:"wave5" ~algo:"try15" ~arch:"btfnt" ~max_steps:4000
          ~id:2 P.Align)
   in
   Alcotest.(check bool) "align ok" true (al.P.status = P.Ok_);
   Alcotest.(check bool) "align body has total_cost" true
     (J.member "total_cost" al.P.body <> None);
-  let m = Ba_serve.Client.call cl (P.request ~id:3 P.Metrics) in
+  let m = Client.call cl (P.request ~id:3 P.Metrics) in
   Alcotest.(check bool) "metrics ok" true (m.P.status = P.Ok_);
   (match J.member "server" m.P.body with
   | None -> Alcotest.fail "metrics body lacks server block"
@@ -358,7 +358,7 @@ let test_server_ping_align_metrics () =
       | Some (J.Obj _) -> true
       | _ -> false));
   let bad =
-    Ba_serve.Client.call cl (P.request ~workload:"no-such" ~id:4 P.Align)
+    Client.call cl (P.request ~workload:"no-such" ~id:4 P.Align)
   in
   (match bad.P.status with
   | P.Error_ msg ->
@@ -369,57 +369,87 @@ let test_server_ping_align_metrics () =
     in
     Alcotest.(check bool) "error names the workload" true (contains msg "no-such")
   | _ -> Alcotest.fail "unknown workload must be an error");
-  Ba_serve.Client.close cl;
+  Client.close cl;
   Ba_serve.Server.stop h
 
-(* The determinism wall, through the socket: the same mixed batch served
-   by a -j1 server and a -j4 server (both from a cold cache) must produce
-   byte-identical response bodies. *)
+(* The determinism wall, through the socket: one mixed request table served
+   by three server instances — cold -j1, cold -j4, then -j4 again on the
+   warm cache — each driven by two client connections on their own domains,
+   pipelining their share.  Every reply must be ok, every body
+   byte-identical across the three waves, and the warm wave must be served
+   from the trace cache alone: it records no trace. *)
 let test_server_jobs_byte_identical () =
+  let kinds = [| P.Align; P.Simulate; P.Verify; P.Analyze |] in
+  let algos = [| "try15"; "greedy"; "cost"; "exttsp"; "orig" |] in
+  let arches = [| "btfnt"; "fallthrough"; "pht" |] in
+  let workloads = [| "wave5"; "alvinn"; "eqntott"; "sc" |] in
+  let n = Array.length kinds * Array.length workloads in
   let requests =
-    List.concat_map
-      (fun (i, w) ->
-        [
-          P.request ~workload:w ~algo:"try15" ~arch:"btfnt" ~max_steps:4000
-            ~id:(3 * i) P.Align;
-          P.request ~workload:w ~algo:"greedy" ~arch:"fallthrough"
-            ~max_steps:4000
-            ~id:((3 * i) + 1)
-            P.Simulate;
-          P.request ~workload:w ~algo:"cost" ~max_steps:4000
-            ~id:((3 * i) + 2)
-            P.Verify;
-        ])
-      [ (0, "wave5"); (1, "alvinn"); (2, "eqntott"); (3, "sc") ]
+    Array.init n (fun id ->
+        P.request
+          ~workload:workloads.(id / Array.length kinds)
+          ~algo:algos.(id mod Array.length algos)
+          ~arch:arches.(id mod Array.length arches)
+          ~max_steps:4000 ~id
+          kinds.(id mod Array.length kinds))
   in
+  let connections = 2 in
+  let misses () = (Ba_workloads.Profiled.lru_stats ()).Lru.misses in
+  (* One wave: the response bodies by id, and the traces it recorded. *)
   let serve jobs =
-    Ba_workloads.Profiled.clear ();
+    let misses0 = misses () in
     let sock, h = start_server ~jobs () in
-    let cl = Ba_serve.Client.connect sock in
-    List.iter (Ba_serve.Client.send cl) requests;
-    let bodies = Hashtbl.create 16 in
+    let client c =
+      let cl = Client.connect sock in
+      let mine =
+        List.filter (fun i -> i mod connections = c) (List.init n Fun.id)
+      in
+      List.iter (fun i -> Client.send cl requests.(i)) mine;
+      let replies = List.map (fun _ -> Client.recv cl) mine in
+      Client.close cl;
+      replies
+    in
+    let replies =
+      List.concat_map Domain.join
+        (List.init connections (fun c -> Domain.spawn (fun () -> client c)))
+    in
+    Ba_serve.Server.stop h;
+    let bodies = Array.make n "" in
     List.iter
-      (fun (_ : P.request) ->
-        match Ba_serve.Client.recv cl with
+      (function
         | None -> Alcotest.fail "connection closed mid-batch"
         | Some r ->
           Alcotest.(check bool)
             (Printf.sprintf "request %d ok" r.P.rid)
             true (r.P.status = P.Ok_);
-          Hashtbl.replace bodies r.P.rid (J.to_string r.P.body))
-      requests;
-    Ba_serve.Client.close cl;
-    Ba_serve.Server.stop h;
+          bodies.(r.P.rid) <- J.to_string r.P.body)
+      replies;
+    (bodies, misses () - misses0)
+  in
+  let cold_wave jobs =
+    Ba_workloads.Profiled.clear ();
+    let bodies, recorded = serve jobs in
+    Alcotest.(check int)
+      (Printf.sprintf "cold -j%d records each workload once" jobs)
+      (Array.length workloads) recorded;
     bodies
   in
-  let b1 = serve 1 in
-  let b4 = serve 4 in
-  List.iter
-    (fun (r : P.request) ->
+  let cold1 = cold_wave 1 in
+  let cold4 = cold_wave 4 in
+  let warm4, recorded = serve 4 in
+  Alcotest.(check int) "warm -j4 records no trace" 0 recorded;
+  Array.iteri
+    (fun id body ->
+      Alcotest.(check bool)
+        (Printf.sprintf "request %d answered" id)
+        true (body <> "");
       Alcotest.(check string)
-        (Printf.sprintf "request %d byte-identical" r.P.id)
-        (Hashtbl.find b1 r.P.id) (Hashtbl.find b4 r.P.id))
-    requests
+        (Printf.sprintf "request %d byte-identical at cold -j4" id)
+        body cold4.(id);
+      Alcotest.(check string)
+        (Printf.sprintf "request %d byte-identical at warm -j4" id)
+        body warm4.(id))
+    cold1
 
 (* A one-slot admission queue in front of a one-task dispatcher: flooding
    it with pipelined requests must answer every id exactly once, with at
@@ -427,15 +457,15 @@ let test_server_jobs_byte_identical () =
 let test_server_overload () =
   let n = 30 in
   let sock, h = start_server ~jobs:1 ~queue_len:1 ~batch_max:1 () in
-  let cl = Ba_serve.Client.connect sock in
+  let cl = Client.connect sock in
   for i = 0 to n - 1 do
-    Ba_serve.Client.send cl
+    Client.send cl
       (P.request ~workload:"wave5" ~algo:"try15" ~max_steps:4000 ~id:i P.Verify)
   done;
   let seen = Array.make n 0 in
   let ok = ref 0 and overloaded = ref 0 in
   for _ = 1 to n do
-    match Ba_serve.Client.recv cl with
+    match Client.recv cl with
     | None -> Alcotest.fail "connection closed before all responses"
     | Some r -> (
       seen.(r.P.rid) <- seen.(r.P.rid) + 1;
@@ -450,25 +480,25 @@ let test_server_overload () =
     seen;
   Alcotest.(check bool) "some requests served" true (!ok >= 1);
   Alcotest.(check bool) "some requests shed" true (!overloaded >= 1);
-  Ba_serve.Client.close cl;
+  Client.close cl;
   Ba_serve.Server.stop h
 
 (* SIGTERM must drain: answered work stays answered, the connection sees a
    clean EOF (not a reset), and the socket is unlinked. *)
 let test_server_sigterm_drain () =
   let sock, h = start_server ~install_signals:true () in
-  let cl = Ba_serve.Client.connect sock in
-  let pong = Ba_serve.Client.call cl (P.request ~id:1 P.Ping) in
+  let cl = Client.connect sock in
+  let pong = Client.call cl (P.request ~id:1 P.Ping) in
   Alcotest.(check bool) "ping before signal" true (pong.P.status = P.Ok_);
   let al =
-    Ba_serve.Client.call cl
+    Client.call cl
       (P.request ~workload:"wave5" ~max_steps:4000 ~id:2 P.Align)
   in
   Alcotest.(check bool) "align before signal" true (al.P.status = P.Ok_);
   Unix.kill (Unix.getpid ()) Sys.sigterm;
   Alcotest.(check bool) "clean EOF after drain" true
-    (Ba_serve.Client.recv cl = None);
-  Ba_serve.Client.close cl;
+    (Client.recv cl = None);
+  Client.close cl;
   Ba_serve.Server.stop h;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock)
 
