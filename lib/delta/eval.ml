@@ -162,9 +162,9 @@ let noncond_counts t geom =
 (* Return mispredicts.  The replayer pushes the call's fall-through pc and
    resumes exactly there, so while the semantic call depth never exceeds
    the stack depth, every non-underflow pop is correct and every underflow
-   pops [None]: the count is just [n_underflow].  Deeper runs can wrap the
-   circular stack, so the call/return substream is replayed against a real
-   {!Return_stack.t} under the candidate geometry. *)
+   pops the empty sentinel: the count is just [n_underflow].  Deeper runs
+   can wrap the circular stack, so the call/return substream is replayed
+   against a real {!Return_stack.t} under the candidate geometry. *)
 let ret_mp_count t geom =
   let st = t.stream in
   if not t.ras_risky then st.Stream.n_underflow
@@ -190,9 +190,7 @@ let ret_mp_count t geom =
               if jpc >= 0 then jpc else fl.Flat.addr.(fl.Flat.c.(gf))
             end
           in
-          match Return_stack.pop ras with
-          | Some a when a = target -> ()
-          | Some _ | None -> incr mp
+          if Return_stack.pop ras <> target then incr mp
         end)
       st.Stream.recs;
     !mp
@@ -299,8 +297,8 @@ let scoped_direct_penalty t geom ~entries changed cached_base =
       in_e.(Pht.direct_index ~entries ~pc:t.base_geom.bpc.(s)) <- true;
       in_e.(Pht.direct_index ~entries ~pc:geom.bpc.(s)) <- true)
     changed;
-  let base_t = Array.make entries (Counter2.initial :> int) in
-  let cand_t = Array.make entries (Counter2.initial :> int) in
+  let base_t = Array.make entries Counter2.initial in
+  let cand_t = Array.make entries Counter2.initial in
   let bfl = t.base_geom.flat and fl = geom.flat in
   let mfp = t.penalties.Bep.misfetch and mpp = t.penalties.Bep.mispredict in
   let base_pen = ref 0 and cand_pen = ref 0 in
@@ -311,9 +309,9 @@ let scoped_direct_penalty t geom ~entries changed cached_base =
       let bi = Pht.direct_index ~entries ~pc:t.base_geom.bpc.(s) in
       if in_e.(bi) then begin
         let taken = outcome = (bfl.Flat.b.(t.base_geom.to_g.(s)) = 1) in
-        let c = Counter2.of_int base_t.(bi) in
+        let c = base_t.(bi) in
         let predicted = Counter2.predict c in
-        base_t.(bi) <- (Counter2.update c ~taken :> int);
+        base_t.(bi) <- Counter2.update c ~taken;
         if predicted = taken then begin
           if taken then base_pen := !base_pen + mfp
         end
@@ -322,9 +320,9 @@ let scoped_direct_penalty t geom ~entries changed cached_base =
       let ci = Pht.direct_index ~entries ~pc:geom.bpc.(s) in
       if in_e.(ci) then begin
         let taken = outcome = (fl.Flat.b.(geom.to_g.(s)) = 1) in
-        let c = Counter2.of_int cand_t.(ci) in
+        let c = cand_t.(ci) in
         let predicted = Counter2.predict c in
-        cand_t.(ci) <- (Counter2.update c ~taken :> int);
+        cand_t.(ci) <- Counter2.update c ~taken;
         if predicted = taken then begin
           if taken then cand_pen := !cand_pen + mfp
         end

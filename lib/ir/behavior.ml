@@ -37,10 +37,11 @@ let mean_rate = function
     (* Approximation assuming a uniform history distribution. *)
     let base = float_of_int (count_true table) /. float_of_int (Array.length table) in
     (base *. (1.0 -. noise)) +. ((1.0 -. base) *. noise)
-  | Markov { p_stay_true; p_stay_false; _ } ->
-    (* Stationary distribution of the two-state chain. *)
+  | Markov { p_stay_true; p_stay_false; init } ->
+    (* Stationary distribution of the two-state chain; a chain that can
+       leave neither state stays in [init] for ever. *)
     let leave_true = 1.0 -. p_stay_true and leave_false = 1.0 -. p_stay_false in
-    if leave_true +. leave_false = 0.0 then 0.5
+    if leave_true +. leave_false = 0.0 then if init then 1.0 else 0.0
     else leave_false /. (leave_true +. leave_false)
 
 type state = {

@@ -36,8 +36,9 @@ val validate : t -> (unit, string) result
     positive, table sized [2^bits], etc.). *)
 
 val mean_rate : t -> float
-(** The long-run probability that the condition holds; used by workload
-    construction to predict taken rates, and by tests. *)
+(** The long-run probability that the condition holds (for a [Markov]
+    chain that can leave neither state, its [init] state's); used by
+    tests. *)
 
 type state
 (** Mutable per-site evaluation state (position in a pattern, loop counter,

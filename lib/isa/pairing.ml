@@ -39,15 +39,15 @@ let prefix_cycles insns =
   c
 
 let prefix_table (listing : Codegen.listing) =
-  let tbl = Hashtbl.create 256 in
+  let image = listing.Codegen.image in
+  let tbl = Array.make image.Ba_layout.Image.total_size [||] in
   Array.iter
     (fun (linear : Ba_layout.Linear.t) ->
       Array.iter
         (fun (lb : Ba_layout.Linear.lblock) ->
-          Hashtbl.replace tbl lb.Ba_layout.Linear.addr
-            (prefix_cycles (Codegen.block_insns listing lb)))
+          tbl.(lb.Ba_layout.Linear.addr) <- prefix_cycles (Codegen.block_insns listing lb))
         linear.Ba_layout.Linear.blocks)
-    listing.Codegen.image.Ba_layout.Image.linears;
+    image.Ba_layout.Image.linears;
   tbl
 
 let per_block_table (listing : Codegen.listing) =

@@ -23,8 +23,10 @@ val per_block_table : Codegen.listing -> (int, int) Hashtbl.t
 (** Precomputed [block start address -> issue cycles] for every block of
     the listing, used by the timing model's per-visit accounting. *)
 
-val prefix_table : Codegen.listing -> (int, int array) Hashtbl.t
-(** [block start address -> c] where [c.(k)] is the issue cycles of the
-    block's first [k] instructions.  A visit that executes only part of a
-    block (a not-taken conditional stops before an inserted jump, a taken
-    one before nothing) costs [c.(fetched)]. *)
+val prefix_table : Codegen.listing -> int array array
+(** Indexed by address, one slot per address of the image: at a block's
+    start address, [c] where [c.(k)] is the issue cycles of the block's
+    first [k] instructions; [[||]] at every other address.  A visit that
+    executes only part of a block (a not-taken conditional stops before an
+    inserted jump, a taken one before nothing) costs [c.(fetched)].  Dense
+    so the timing model's per-block lookup is an array read. *)

@@ -36,10 +36,10 @@ let line_no_of ~insns_per_line ~pc = pc / insns_per_line
 let slot_of ~insns_per_line ~pc = pc mod insns_per_line
 let line_index ~lines ~line_no = line_no land (lines - 1)
 
-let locate t ~pc =
-  let line_no = line_no_of ~insns_per_line:t.insns_per_line ~pc in
-  let line = t.lines.(line_index ~lines:(Array.length t.lines) ~line_no) in
-  (line, line_no, slot_of ~insns_per_line:t.insns_per_line ~pc)
+(* The stored line a line number maps to.  Callers compute the tag and
+   slot inline: this runs on every conditional, where returning the three
+   as a tuple would allocate. *)
+let line_of t ~line_no = t.lines.(line_index ~lines:(Array.length t.lines) ~line_no)
 
 let m_refill = Ba_obs.Counter.make ~unit_:"events" "predict.alpha.refill"
 let m_cold = Ba_obs.Counter.make ~unit_:"events" "predict.alpha.cold"
@@ -49,7 +49,9 @@ let refill line tag =
   Array.fill line.valid 0 (Array.length line.valid) false
 
 let predict t ~pc ~taken_target =
-  let line, tag, slot = locate t ~pc in
+  let tag = line_no_of ~insns_per_line:t.insns_per_line ~pc in
+  let line = line_of t ~line_no:tag in
+  let slot = slot_of ~insns_per_line:t.insns_per_line ~pc in
   if line.tag = tag && line.valid.(slot) then line.bits.(slot)
   else begin
     t.s_cold <- t.s_cold + 1;
@@ -57,7 +59,9 @@ let predict t ~pc ~taken_target =
   end
 
 let update t ~pc ~taken =
-  let line, tag, slot = locate t ~pc in
+  let tag = line_no_of ~insns_per_line:t.insns_per_line ~pc in
+  let line = line_of t ~line_no:tag in
+  let slot = slot_of ~insns_per_line:t.insns_per_line ~pc in
   if line.tag <> tag then begin
     t.s_refills <- t.s_refills + 1;
     refill line tag

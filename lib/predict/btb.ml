@@ -1,7 +1,7 @@
 type entry = {
   mutable tag : int;  (* full pc; -1 = invalid *)
   mutable target : int;
-  mutable counter : int;  (* Counter2 state *)
+  mutable counter : Counter2.t;
   mutable stamp : int;  (* LRU clock *)
 }
 
@@ -18,8 +18,6 @@ type t = {
   mutable s_sat_lo : int;
 }
 
-type lookup = Hit of { target : int; predict_taken : bool } | Miss
-
 let m_lookup = Ba_obs.Counter.make ~unit_:"events" "predict.btb.lookup"
 let m_hit = Ba_obs.Counter.make ~unit_:"events" "predict.btb.hit"
 let m_miss = Ba_obs.Counter.make ~unit_:"events" "predict.btb.miss"
@@ -32,7 +30,7 @@ let create ~entries ~assoc =
   let n_sets = entries / assoc in
   if n_sets land (n_sets - 1) <> 0 then
     invalid_arg "Btb.create: set count must be a power of two";
-  let fresh_entry () = { tag = -1; target = 0; counter = 0; stamp = 0 } in
+  let fresh_entry () = { tag = -1; target = 0; counter = Counter2.initial; stamp = 0 } in
   {
     sets = Array.init n_sets (fun _ -> Array.init assoc (fun _ -> fresh_entry ()));
     clock = 0;
@@ -55,51 +53,62 @@ let set_of t ~pc =
   let entries = Array.length t.sets * assoc in
   t.sets.(set_index ~entries ~assoc ~pc)
 
+(* The way holding [pc]'s tag, or -1: an index from a loop, so the
+   per-event path builds no closure and no option. *)
 let find_way set ~pc =
   let tag = tag_of ~pc in
   let n = Array.length set in
-  let rec scan i =
-    if i = n then None
-    else if set.(i).tag = tag then Some set.(i)
-    else scan (i + 1)
-  in
-  scan 0
+  let i = ref 0 in
+  while !i < n && set.(!i).tag <> tag do
+    incr i
+  done;
+  if !i = n then -1 else !i
 
-let lookup t ~pc =
+let probe t ~pc =
   t.s_lookups <- t.s_lookups + 1;
-  match find_way (set_of t ~pc) ~pc with
-  | Some e ->
-    t.s_hits <- t.s_hits + 1;
-    Hit { target = e.target; predict_taken = Counter2.predict (Counter2.of_int e.counter) }
-  | None ->
+  let set = set_of t ~pc in
+  let w = find_way set ~pc in
+  if w < 0 then begin
     t.s_misses <- t.s_misses + 1;
-    Miss
+    -1
+  end
+  else begin
+    t.s_hits <- t.s_hits + 1;
+    let e = set.(w) in
+    (e.target lsl 1) lor if Counter2.predict e.counter then 1 else 0
+  end
 
 let touch t e =
   t.clock <- t.clock + 1;
   e.stamp <- t.clock
 
 let update t ~pc ~taken ~target =
+  if target < 0 then invalid_arg "Btb.update: negative target";
   let set = set_of t ~pc in
-  match find_way set ~pc with
-  | Some e ->
-    if taken then begin if e.counter = 3 then t.s_sat_hi <- t.s_sat_hi + 1 end
-    else if e.counter = 0 then t.s_sat_lo <- t.s_sat_lo + 1;
-    e.counter <- (Counter2.update (Counter2.of_int e.counter) ~taken :> int);
+  let w = find_way set ~pc in
+  if w >= 0 then begin
+    let e = set.(w) in
+    if taken then begin if (e.counter :> int) = 3 then t.s_sat_hi <- t.s_sat_hi + 1 end
+    else if (e.counter :> int) = 0 then t.s_sat_lo <- t.s_sat_lo + 1;
+    e.counter <- Counter2.update e.counter ~taken;
     if taken then e.target <- target;
     touch t e
-  | None ->
-    if taken then begin
-      (* Allocate, evicting the LRU way (invalid entries have stamp 0 and
-         lose ties, so they are filled first). *)
-      let victim = Array.fold_left (fun acc e -> if e.stamp < acc.stamp then e else acc) set.(0) set in
-      t.s_allocs <- t.s_allocs + 1;
-      if victim.tag >= 0 then t.s_evicts <- t.s_evicts + 1;
-      victim.tag <- tag_of ~pc;
-      victim.target <- target;
-      victim.counter <- (Counter2.strongly_taken :> int);
-      touch t victim
-    end
+  end
+  else if taken then begin
+    (* Allocate, evicting the LRU way (invalid entries have stamp 0 and
+       lose ties, so they are filled first). *)
+    let victim = ref set.(0) in
+    for i = 1 to Array.length set - 1 do
+      if set.(i).stamp < !victim.stamp then victim := set.(i)
+    done;
+    let victim = !victim in
+    t.s_allocs <- t.s_allocs + 1;
+    if victim.tag >= 0 then t.s_evicts <- t.s_evicts + 1;
+    victim.tag <- tag_of ~pc;
+    victim.target <- target;
+    victim.counter <- Counter2.strongly_taken;
+    touch t victim
+  end
 
 let entries t = Array.length t.sets * Array.length t.sets.(0)
 let assoc t = Array.length t.sets.(0)

@@ -10,22 +10,24 @@
 
 type t
 
-type lookup =
-  | Hit of { target : int; predict_taken : bool }
-  | Miss
-
 val create : entries:int -> assoc:int -> t
 (** [entries] must be a positive multiple of [assoc], with a power-of-two
     set count. *)
 
-val lookup : t -> pc:int -> lookup
-(** Probe without updating replacement state. *)
+val probe : t -> pc:int -> int
+(** Look [pc] up without updating replacement state.  The answer is
+    packed into one int so the per-branch path allocates nothing: [-1] on
+    a miss; on a hit, [(target lsl 1) lor b], where [target] (>= 0) is the
+    stored target and [b] is 1 when the entry's counter predicts taken.  So
+    [p < 0] is a miss, [p lsr 1] the target and [p land 1 = 1] the
+    direction. *)
 
 val update : t -> pc:int -> taken:bool -> target:int -> unit
 (** Train after resolving the branch: hits update the counter (and the
     stored target when taken); misses allocate an entry only when the branch
     was taken, evicting the set's LRU entry.  Newly allocated entries start
-    strongly taken. *)
+    strongly taken.  Raises [Invalid_argument] on a negative [target],
+    which {!probe}'s encoding cannot carry. *)
 
 val entries : t -> int
 val assoc : t -> int

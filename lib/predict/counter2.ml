@@ -8,7 +8,10 @@ let m_sat_lo = Ba_obs.Counter.make ~unit_:"updates" "predict.counter2.sat_lo"
 
 let predict c = c >= 2
 
-let update c ~taken = if taken then min 3 (c + 1) else max 0 (c - 1)
+(* Int compares only: [Stdlib.min]/[max] are polymorphic, and without
+   flambda each call is a generic compare on the per-branch path. *)
+let update c ~taken =
+  if taken then if c >= 3 then 3 else c + 1 else if c <= 0 then 0 else c - 1
 
 (* Saturation is detected by the structures that own the counters (a state-3
    taken update or a state-0 not-taken update) and flushed here in bulk once
@@ -17,4 +20,4 @@ let flush_sat ~hi ~lo =
   Ba_obs.Counter.add m_sat_hi hi;
   Ba_obs.Counter.add m_sat_lo lo
 
-let of_int n = max 0 (min 3 n)
+let of_int n = if n < 0 then 0 else if n > 3 then 3 else n

@@ -42,10 +42,13 @@ let access_line t line_no =
   let lines = Array.length t.sets * assoc in
   let set = t.sets.(set_index ~lines ~assoc ~line:line_no) in
   let ways = Array.length set.tags in
-  let rec find i = if i = ways then None else if set.tags.(i) = line_no then Some i else find (i + 1) in
-  match find 0 with
-  | Some way -> set.stamps.(way) <- t.clock
-  | None ->
+  (* an index from a loop: no closure or option per fetched line *)
+  let way = ref 0 in
+  while !way < ways && set.tags.(!way) <> line_no do
+    incr way
+  done;
+  if !way < ways then set.stamps.(!way) <- t.clock
+  else begin
     t.misses <- t.misses + 1;
     (* Evict the LRU way (invalid ways have stamp 0 and lose ties). *)
     let victim = ref 0 in
@@ -54,6 +57,7 @@ let access_line t line_no =
     done;
     set.tags.(!victim) <- line_no;
     set.stamps.(!victim) <- t.clock
+  end
 
 let touch_range t ~addr ~size =
   if size <= 0 then 0

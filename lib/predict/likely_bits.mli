@@ -12,9 +12,12 @@
 type t
 
 val build : Ba_layout.Image.t -> Ba_cfg.Profile.t -> t
+(** The hints are stored densely, one slot per address of the image
+    ([Image.total_size] slots), so {!hint} is an array read. *)
 
 val hint : t -> int -> bool
 (** [hint t pc] is the likely-taken bit of the conditional at [pc].  Raises
-    [Invalid_argument] for an address that is not a conditional branch. *)
+    [Invalid_argument] for an address that is not a conditional branch,
+    including any address outside the image. *)
 
 val count : t -> int

@@ -1,7 +1,7 @@
 type scheme = Direct | Gshare of { history_bits : int }
 
 type t = {
-  table : int array;  (* Counter2 states *)
+  table : Counter2.t array;
   owner : int array;  (* last updating pc per entry; -1 = untouched. Metric-only. *)
   mask : int;
   scheme : scheme;
@@ -25,7 +25,7 @@ let check_power_of_two n =
 let create_direct ~entries =
   check_power_of_two entries;
   {
-    table = Array.make entries (Counter2.initial :> int);
+    table = Array.make entries Counter2.initial;
     owner = Array.make entries (-1);
     mask = entries - 1;
     scheme = Direct;
@@ -42,7 +42,7 @@ let create_gshare ~entries ~history_bits =
   if history_bits < 1 || history_bits > 30 then
     invalid_arg "Pht.create_gshare: history_bits out of range";
   {
-    table = Array.make entries (Counter2.initial :> int);
+    table = Array.make entries Counter2.initial;
     owner = Array.make entries (-1);
     mask = entries - 1;
     scheme = Gshare { history_bits };
@@ -68,17 +68,17 @@ let index t ~pc =
 
 let predict t ~pc =
   t.s_lookups <- t.s_lookups + 1;
-  Counter2.predict (Counter2.of_int t.table.(index t ~pc))
+  Counter2.predict t.table.(index t ~pc)
 
 let update t ~pc ~taken =
   let i = index t ~pc in
   let c = t.table.(i) in
-  if Counter2.predict (Counter2.of_int c) = taken then t.s_hits <- t.s_hits + 1;
+  if Counter2.predict c = taken then t.s_hits <- t.s_hits + 1;
   if t.owner.(i) >= 0 && t.owner.(i) <> pc then t.s_aliases <- t.s_aliases + 1;
-  if taken then begin if c = 3 then t.s_sat_hi <- t.s_sat_hi + 1 end
-  else if c = 0 then t.s_sat_lo <- t.s_sat_lo + 1;
+  if taken then begin if (c :> int) = 3 then t.s_sat_hi <- t.s_sat_hi + 1 end
+  else if (c :> int) = 0 then t.s_sat_lo <- t.s_sat_lo + 1;
   t.owner.(i) <- pc;
-  t.table.(i) <- (Counter2.update (Counter2.of_int c) ~taken :> int);
+  t.table.(i) <- Counter2.update c ~taken;
   match t.scheme with
   | Direct -> ()
   | Gshare { history_bits } ->

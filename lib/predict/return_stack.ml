@@ -28,23 +28,24 @@ let m_depth =
     "predict.ras.depth"
 
 let push t addr =
+  if addr < 0 then invalid_arg "Return_stack.push: negative address";
+  let depth = Array.length t.slots in
   t.s_pushes <- t.s_pushes + 1;
-  if t.count = Array.length t.slots then t.s_overflows <- t.s_overflows + 1;
+  if t.count = depth then t.s_overflows <- t.s_overflows + 1 else t.count <- t.count + 1;
   t.slots.(t.top) <- addr;
-  t.top <- (t.top + 1) mod Array.length t.slots;
-  t.count <- min (t.count + 1) (Array.length t.slots);
+  t.top <- (t.top + 1) mod depth;
   t.s_depths.(t.count) <- t.s_depths.(t.count) + 1
 
 let pop t =
   t.s_pops <- t.s_pops + 1;
   if t.count = 0 then begin
     t.s_underflows <- t.s_underflows + 1;
-    None
+    -1
   end
   else begin
     t.top <- (t.top + Array.length t.slots - 1) mod Array.length t.slots;
     t.count <- t.count - 1;
-    Some t.slots.(t.top)
+    t.slots.(t.top)
   end
 
 let occupancy t = t.count

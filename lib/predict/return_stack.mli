@@ -8,8 +8,16 @@
 type t
 
 val create : depth:int -> t
+
 val push : t -> int -> unit
-val pop : t -> int option
+(** Push a return address.  Addresses are [>= 0]; a negative one raises
+    [Invalid_argument], since [-1] is {!pop}'s empty answer. *)
+
+val pop : t -> int
+(** The most recently pushed address still held, or [-1] when the stack
+    is empty.  A sentinel rather than an option, so the per-return path
+    allocates nothing; it never equals a real return address. *)
+
 val depth : t -> int
 val occupancy : t -> int
 

@@ -3,7 +3,7 @@ type scheme =
   | Local of { histories : int array }
 
 type t = {
-  pattern : int array;  (* Counter2 states *)
+  pattern : Counter2.t array;
   pattern_mask : int;
   scheme : scheme;
   (* local books, flushed to the predict.two_level.* counters once per run *)
@@ -19,7 +19,7 @@ let check_bits bits =
 let create_global ?(history_bits = 12) () =
   check_bits history_bits;
   {
-    pattern = Array.make (1 lsl history_bits) (Counter2.initial :> int);
+    pattern = Array.make (1 lsl history_bits) Counter2.initial;
     pattern_mask = (1 lsl history_bits) - 1;
     scheme = Global { history = 0 };
     s_lookups = 0;
@@ -33,7 +33,7 @@ let create_local ?(history_bits = 12) ?(branch_entries = 1024) () =
   if branch_entries <= 0 || branch_entries land (branch_entries - 1) <> 0 then
     invalid_arg "Two_level.create_local: branch_entries must be a power of two";
   {
-    pattern = Array.make (1 lsl history_bits) (Counter2.initial :> int);
+    pattern = Array.make (1 lsl history_bits) Counter2.initial;
     pattern_mask = (1 lsl history_bits) - 1;
     scheme = Local { histories = Array.make branch_entries 0 };
     s_lookups = 0;
@@ -59,15 +59,15 @@ let m_hit = Ba_obs.Counter.make ~unit_:"events" "predict.two_level.hit"
 
 let predict t ~pc =
   t.s_lookups <- t.s_lookups + 1;
-  Counter2.predict (Counter2.of_int t.pattern.(index t ~pc))
+  Counter2.predict t.pattern.(index t ~pc)
 
 let update t ~pc ~taken =
   let i = index t ~pc in
   let c = t.pattern.(i) in
-  if Counter2.predict (Counter2.of_int c) = taken then t.s_hits <- t.s_hits + 1;
-  if taken then begin if c = 3 then t.s_sat_hi <- t.s_sat_hi + 1 end
-  else if c = 0 then t.s_sat_lo <- t.s_sat_lo + 1;
-  t.pattern.(i) <- (Counter2.update (Counter2.of_int c) ~taken :> int);
+  if Counter2.predict c = taken then t.s_hits <- t.s_hits + 1;
+  if taken then begin if (c :> int) = 3 then t.s_sat_hi <- t.s_sat_hi + 1 end
+  else if (c :> int) = 0 then t.s_sat_lo <- t.s_sat_lo + 1;
+  t.pattern.(i) <- Counter2.update c ~taken;
   let bit = if taken then 1 else 0 in
   match t.scheme with
   | Global g -> g.history <- ((g.history lsl 1) lor bit) land t.pattern_mask

@@ -36,7 +36,7 @@ type t = {
   bits : Alpha_bits.t;
   ras : Return_stack.t;
   icache : Icache.t;
-  issue : (int, int array) Hashtbl.t option;
+  issue : int array array option;
   mutable issue_cycles : int;
   mutable misfetches : int;
   mutable mispredicts : int;
@@ -72,21 +72,20 @@ let on_event t (e : Event.t) =
   | Event.Indirect_call ->
     t.mispredicts <- t.mispredicts + 1;
     Return_stack.push t.ras (Event.fallthrough_addr e)
-  | Event.Ret -> (
-    match Return_stack.pop t.ras with
-    | Some addr when addr = e.target -> ()
-    | Some _ | None -> t.mispredicts <- t.mispredicts + 1)
+  | Event.Ret ->
+    if Return_stack.pop t.ras <> e.target then t.mispredicts <- t.mispredicts + 1
 
 let on_block t ~addr ~size =
   ignore (Icache.touch_range t.icache ~addr ~size);
   match t.issue with
   | None -> ()
-  | Some prefix -> (
+  | Some prefix ->
     (* Inserted jumps report a 1-instruction range starting mid-block; they
-       are not in the prefix table and issue alone. *)
-    match Hashtbl.find_opt prefix addr with
-    | Some c -> t.issue_cycles <- t.issue_cycles + c.(min size (Array.length c - 1))
-    | None -> t.issue_cycles <- t.issue_cycles + size)
+       have an empty prefix slot and issue alone. *)
+    let c = prefix.(addr) in
+    let n = Array.length c in
+    t.issue_cycles <-
+      t.issue_cycles + if n = 0 then size else c.(if size < n - 1 then size else n - 1)
 
 let cycles t ~insns =
   (* With a concrete listing, base cycles come from the dual-issue pairing

@@ -34,10 +34,14 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ?issue:(int, int array) Hashtbl.t -> unit -> t
+val create : ?config:config -> ?issue:int array array -> unit -> t
 (** [issue], when given (a {!Ba_isa.Pairing.prefix_table} of the image being
     executed), switches the base cycle count from the ideal
-    [instructions / issue_width] to the dual-issue pairing model. *)
+    [instructions / issue_width] to the dual-issue pairing model.  It is
+    indexed by address: [issue.(addr)] holds the prefix issue cycles of the
+    block starting at [addr], and is empty where no block starts (an
+    inserted jump's fetch, which issues alone).  Every address {!on_block}
+    is fed must lie inside the image. *)
 
 val on_event : t -> Ba_exec.Event.t -> unit
 

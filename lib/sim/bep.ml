@@ -136,11 +136,10 @@ let on_cond t (e : Event.t) ~taken ~taken_target =
     end
     else mispredict t
   | Buffer btb ->
+    (* one int-coded probe: -1 misses, else target lsl 1 lor taken-bit *)
+    let p = Btb.probe btb ~pc:e.pc in
     let correct =
-      match Btb.lookup btb ~pc:e.pc with
-      | Btb.Hit { target; predict_taken } ->
-        if predict_taken then taken && target = e.target else not taken
-      | Btb.Miss -> not taken
+      if p >= 0 && p land 1 = 1 then taken && p lsr 1 = e.target else not taken
     in
     Btb.update btb ~pc:e.pc ~taken ~target:e.target;
     if correct then t.c.cond_correct <- t.c.cond_correct + 1
@@ -152,24 +151,17 @@ let on_always_taken t (e : Event.t) =
      that. *)
   match t.predictor with
   | Rule _ | Table _ | Adaptive _ -> misfetch t
-  | Buffer btb -> (
-    match Btb.lookup btb ~pc:e.pc with
-    | Btb.Hit _ -> Btb.update btb ~pc:e.pc ~taken:true ~target:e.target
-    | Btb.Miss ->
-      misfetch t;
-      Btb.update btb ~pc:e.pc ~taken:true ~target:e.target)
+  | Buffer btb ->
+    if Btb.probe btb ~pc:e.pc < 0 then misfetch t;
+    Btb.update btb ~pc:e.pc ~taken:true ~target:e.target
 
 let on_indirect t (e : Event.t) =
   match t.predictor with
   | Rule _ | Table _ | Adaptive _ -> mispredict t
-  | Buffer btb -> (
-    match Btb.lookup btb ~pc:e.pc with
-    | Btb.Hit { target; _ } ->
-      if target <> e.target then mispredict t;
-      Btb.update btb ~pc:e.pc ~taken:true ~target:e.target
-    | Btb.Miss ->
-      mispredict t;
-      Btb.update btb ~pc:e.pc ~taken:true ~target:e.target)
+  | Buffer btb ->
+    let p = Btb.probe btb ~pc:e.pc in
+    if p < 0 || p lsr 1 <> e.target then mispredict t;
+    Btb.update btb ~pc:e.pc ~taken:true ~target:e.target
 
 let on_event t (e : Event.t) =
   match e.kind with
@@ -188,12 +180,11 @@ let on_event t (e : Event.t) =
     t.c.indirect <- t.c.indirect + 1;
     on_indirect t e;
     Return_stack.push t.ras (Event.fallthrough_addr e)
-  | Event.Ret -> (
+  | Event.Ret ->
     t.c.rets <- t.c.rets + 1;
-    match Return_stack.pop t.ras with
-    | Some addr when addr = e.target ->
-      t.c.rets_correct <- t.c.rets_correct + 1
-    | Some _ | None -> mispredict t)
+    (* an empty stack pops -1, which no return target equals *)
+    if Return_stack.pop t.ras = e.target then t.c.rets_correct <- t.c.rets_correct + 1
+    else mispredict t
 
 let counts t = t.c
 

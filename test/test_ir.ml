@@ -83,7 +83,16 @@ let test_mean_rate () =
   Alcotest.(check (float 1e-9)) "bias" 0.25 (Behavior.mean_rate (Behavior.Bias 0.25));
   Alcotest.(check (float 1e-9)) "loop" 0.75 (Behavior.mean_rate (Behavior.Loop 4));
   Alcotest.(check (float 1e-9)) "pattern" (1.0 /. 3.0)
-    (Behavior.mean_rate (Behavior.Pattern [| true; false; false |]))
+    (Behavior.mean_rate (Behavior.Pattern [| true; false; false |]));
+  (* A chain that can leave neither state never leaves [init]. *)
+  List.iter
+    (fun init ->
+      let b = Behavior.Markov { p_stay_true = 1.0; p_stay_false = 1.0; init } in
+      let expected = if init then 1.0 else 0.0 in
+      Alcotest.(check (float 1e-9)) "absorbing markov" expected (Behavior.mean_rate b);
+      Alcotest.(check (float 1e-9)) "absorbing markov draws" expected
+        (rate (drawn b ~n:1_000 ~seed:3)))
+    [ true; false ]
 
 let test_behavior_validate () =
   let ok b = Alcotest.(check bool) "valid" true (Result.is_ok (Behavior.validate b)) in
@@ -244,6 +253,29 @@ let behavior_gen =
 
 let behavior_arb = QCheck.make ~print:(Fmt.to_to_string Behavior.pp) behavior_gen
 
+(* How far the rate of [n] draws may stray from [mean_rate].  Every
+   behaviour but a Markov chain mixes within a few draws, so 0.05 is
+   generous.  A chain that switches state with total probability
+   s = leave_true + leave_false holds each state ~1/s draws, so [n] draws
+   see only ~n*s/2 cycles: the rate's standard deviation is
+   sqrt (pi (1 - pi) (2 - s) / (s n)) around the stationary rate pi, and
+   starting in [init] biases it by at most 1/(s n).  The tolerance allows
+   six deviations plus that bias, so a sticky chain (tt=0.994, ff=0.990:
+   ~110 cycles in 30,000 draws) is held to what its draws can show. *)
+let rate_tolerance b ~n =
+  match b with
+  | Behavior.Markov { p_stay_true; p_stay_false; _ } ->
+    let s = 2.0 -. p_stay_true -. p_stay_false in
+    if s = 0.0 then 0.05
+    else begin
+      let pi = Behavior.mean_rate b and n = float_of_int n in
+      let sd = sqrt (pi *. (1.0 -. pi) *. (2.0 -. s) /. (s *. n)) in
+      Float.max 0.05 ((6.0 *. sd) +. (1.0 /. (s *. n)))
+    end
+  | Behavior.Always _ | Behavior.Bias _ | Behavior.Loop _ | Behavior.Pattern _
+  | Behavior.Correlated _ ->
+    0.05
+
 let qcheck_cases =
   let open QCheck in
   [
@@ -257,8 +289,9 @@ let qcheck_cases =
       (fun (b, seed) ->
         (* Correlated excluded by the generator; all others have an exact
            long-run rate. *)
-        let xs = drawn b ~n:30_000 ~seed in
-        abs_float (rate xs -. Behavior.mean_rate b) < 0.05);
+        let n = 30_000 in
+        let xs = drawn b ~n ~seed in
+        abs_float (rate xs -. Behavior.mean_rate b) < rate_tolerance b ~n);
   ]
 
 let suites =

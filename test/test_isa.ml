@@ -122,7 +122,7 @@ let test_pairing_prefix_consistency () =
   let prefix = Pairing.prefix_table l in
   Array.iter
     (fun (lb : Ba_layout.Linear.lblock) ->
-      let c = Hashtbl.find prefix lb.Ba_layout.Linear.addr in
+      let c = prefix.(lb.Ba_layout.Linear.addr) in
       let n = Ba_layout.Linear.block_size lb in
       Alcotest.(check int) "prefix length" (n + 1) (Array.length c);
       Alcotest.(check int) "full prefix equals issue_cycles"

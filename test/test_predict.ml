@@ -154,24 +154,23 @@ let test_two_level_validation () =
 
 (* -- Btb ------------------------------------------------------------------- *)
 
+(* [Btb.probe] packs its answer: -1 on a miss, else target lsl 1 lor the
+   predicted-taken bit. *)
+let btb_miss = -1
+let btb_hit ~target ~taken = (target lsl 1) lor Bool.to_int taken
+
 let test_btb_miss_then_hit () =
   let btb = Btb.create ~entries:64 ~assoc:2 in
-  (match Btb.lookup btb ~pc:100 with
-  | Btb.Miss -> ()
-  | Btb.Hit _ -> Alcotest.fail "cold BTB should miss");
+  Alcotest.(check int) "cold BTB should miss" btb_miss (Btb.probe btb ~pc:100);
   Btb.update btb ~pc:100 ~taken:true ~target:200;
-  match Btb.lookup btb ~pc:100 with
-  | Btb.Hit { target; predict_taken } ->
-    Alcotest.(check int) "stored target" 200 target;
-    Alcotest.(check bool) "allocated strongly taken" true predict_taken
-  | Btb.Miss -> Alcotest.fail "should hit after taken update"
+  Alcotest.(check int) "hit: stored target, allocated strongly taken"
+    (btb_hit ~target:200 ~taken:true) (Btb.probe btb ~pc:100)
 
 let test_btb_not_taken_never_allocates () =
   let btb = Btb.create ~entries:64 ~assoc:2 in
   Btb.update btb ~pc:100 ~taken:false ~target:200;
-  (match Btb.lookup btb ~pc:100 with
-  | Btb.Miss -> ()
-  | Btb.Hit _ -> Alcotest.fail "not-taken branches must not be stored");
+  Alcotest.(check int) "not-taken branches must not be stored" btb_miss
+    (Btb.probe btb ~pc:100);
   Alcotest.(check int) "empty" 0 (Btb.occupancy btb)
 
 let test_btb_counter_training () =
@@ -180,10 +179,8 @@ let test_btb_counter_training () =
   (* Two not-taken updates drive the 2-bit counter below the threshold. *)
   Btb.update btb ~pc:100 ~taken:false ~target:200;
   Btb.update btb ~pc:100 ~taken:false ~target:200;
-  match Btb.lookup btb ~pc:100 with
-  | Btb.Hit { predict_taken; _ } ->
-    Alcotest.(check bool) "counter trained down" false predict_taken
-  | Btb.Miss -> Alcotest.fail "entry should survive"
+  Alcotest.(check int) "entry survives, counter trained down"
+    (btb_hit ~target:200 ~taken:false) (Btb.probe btb ~pc:100)
 
 let test_btb_lru_eviction () =
   (* 2-way set: three distinct taken branches mapping to the same set evict
@@ -196,20 +193,16 @@ let test_btb_lru_eviction () =
   (* refresh 4 *)
   Btb.update btb ~pc:12 ~taken:true ~target:3;
   (* evicts 8 *)
-  (match Btb.lookup btb ~pc:8 with
-  | Btb.Miss -> ()
-  | Btb.Hit _ -> Alcotest.fail "LRU entry should be evicted");
-  match Btb.lookup btb ~pc:4 with
-  | Btb.Hit _ -> ()
-  | Btb.Miss -> Alcotest.fail "recently used entry should survive"
+  Alcotest.(check int) "LRU entry should be evicted" btb_miss (Btb.probe btb ~pc:8);
+  Alcotest.(check int) "recently used entry should survive"
+    (btb_hit ~target:1 ~taken:true) (Btb.probe btb ~pc:4)
 
 let test_btb_target_update () =
   let btb = Btb.create ~entries:8 ~assoc:2 in
   Btb.update btb ~pc:4 ~taken:true ~target:1;
   Btb.update btb ~pc:4 ~taken:true ~target:9;
-  match Btb.lookup btb ~pc:4 with
-  | Btb.Hit { target; _ } -> Alcotest.(check int) "latest target" 9 target
-  | Btb.Miss -> Alcotest.fail "should hit"
+  Alcotest.(check int) "hit with the latest target" (btb_hit ~target:9 ~taken:true)
+    (Btb.probe btb ~pc:4)
 
 let test_btb_bad_geometry () =
   Alcotest.(check bool) "entries % assoc" true
@@ -224,9 +217,9 @@ let test_ras_lifo () =
   let ras = Return_stack.create ~depth:4 in
   Return_stack.push ras 1;
   Return_stack.push ras 2;
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Return_stack.pop ras);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Return_stack.pop ras);
-  Alcotest.(check (option int)) "empty" None (Return_stack.pop ras)
+  Alcotest.(check int) "pop 2" 2 (Return_stack.pop ras);
+  Alcotest.(check int) "pop 1" 1 (Return_stack.pop ras);
+  Alcotest.(check int) "empty pops the sentinel" (-1) (Return_stack.pop ras)
 
 let test_ras_overflow_wraps () =
   let ras = Return_stack.create ~depth:2 in
@@ -234,9 +227,9 @@ let test_ras_overflow_wraps () =
   Return_stack.push ras 2;
   Return_stack.push ras 3;
   (* overwrites 1 *)
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Return_stack.pop ras);
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Return_stack.pop ras);
-  Alcotest.(check (option int)) "oldest lost" None (Return_stack.pop ras)
+  Alcotest.(check int) "pop 3" 3 (Return_stack.pop ras);
+  Alcotest.(check int) "pop 2" 2 (Return_stack.pop ras);
+  Alcotest.(check int) "oldest lost" (-1) (Return_stack.pop ras)
 
 (* -- Alpha_bits ------------------------------------------------------------ *)
 
@@ -340,6 +333,18 @@ let test_likely_bits () =
      the branch is likely NOT taken. *)
   let pc = Ba_layout.Linear.branch_pc (Ba_layout.Image.lblock image 0 0) in
   Alcotest.(check bool) "hint not taken" false (Likely_bits.hint bits pc);
+  (* Only conditional branches carry a hint: the jump's pc, an address past
+     the image and a negative address are all refused. *)
+  let refused label pc =
+    Alcotest.(check bool) label true
+      (try
+         ignore (Likely_bits.hint bits pc : bool);
+         false
+       with Invalid_argument _ -> true)
+  in
+  refused "jump pc" (Ba_layout.Linear.branch_pc (Ba_layout.Image.lblock image 0 1));
+  refused "past the last address" image.Ba_layout.Image.total_size;
+  refused "negative pc" (-1);
   (* A layout that flips the sense flips the hint. *)
   let image2 =
     Ba_layout.Image.build ~profile prog [| Ba_layout.Decision.of_order [| 0; 2; 1 |] |]
@@ -410,9 +415,9 @@ let test_obs_ras_overflow_underflow () =
         popped := Ba_predict.Return_stack.pop s :: !popped
       done);
   let read = Ba_obs.Registry.counter_value r in
-  Alcotest.(check (list (option int)))
+  Alcotest.(check (list int))
     "wraparound pops newest two, then underflows"
-    [ Some 30; Some 20; None ] (List.rev !popped);
+    [ 30; 20; -1 ] (List.rev !popped);
   Alcotest.(check int) "pushes" 3 (read "predict.ras.push");
   Alcotest.(check int) "one overflow" 1 (read "predict.ras.overflow");
   Alcotest.(check int) "pops" 3 (read "predict.ras.pop");
@@ -438,9 +443,7 @@ let test_obs_btb_set_conflict_eviction () =
           Alcotest.(check bool)
             (Printf.sprintf "pc %#x %s" pc (if hit then "survives" else "evicted"))
             hit
-            (match Ba_predict.Btb.lookup btb ~pc with
-            | Ba_predict.Btb.Hit _ -> true
-            | Ba_predict.Btb.Miss -> false)
+            (Ba_predict.Btb.probe btb ~pc >= 0)
         in
         expect 0x10 true;
         expect 0x20 false;

@@ -252,6 +252,68 @@ let test_alpha_alignment_helps_end_to_end () =
     (Printf.sprintf "aligned (%.0f) < original (%.0f)" c_al c_orig)
     true (c_al < c_orig)
 
+(* -- zero-allocation wall ------------------------------------------------------ *)
+
+(* The simulators allocate nothing per event: replaying a recorded trace
+   through one Bep of every architecture, and through the Alpha model with
+   its icache and dual-issue table, costs a fixed number of minor words
+   per run (the replayer's closures and the metric flushes), however long
+   the trace.  A per-event option, tuple, closure or boxed compare result
+   costs at least one word per branch and breaks the budget by orders of
+   magnitude on these 200k-step traces. *)
+let alloc_wall_budget = 1_000
+
+let test_alloc_wall () =
+  let runs = ref 0 and steps = ref 0 and worst = ref 0 in
+  let measure label run =
+    let before = Gc.minor_words () in
+    let result : Engine.result = run () in
+    let words = int_of_float (Gc.minor_words () -. before) in
+    if words >= alloc_wall_budget then
+      Alcotest.failf "%s: %d minor words over %d steps (budget %d per run)" label words
+        result.Engine.steps alloc_wall_budget;
+    incr runs;
+    steps := !steps + result.Engine.steps;
+    if words > !worst then worst := words
+  in
+  List.iter
+    (fun name ->
+      let w = Option.get (Ba_workloads.Spec.by_name name) in
+      let _, profile, trace = Ba_workloads.Profiled.get_traced ~max_steps:200_000 w in
+      let image =
+        Ba_core.Align.image Ba_core.Align.Greedy ~arch:Ba_core.Cost_model.Btb profile
+      in
+      let flat = Ba_trace.Flat.of_image image in
+      List.iter
+        (fun arch ->
+          let sim = Bep.create arch in
+          measure
+            (Printf.sprintf "%s %s" name (Bep.arch_label arch))
+            (fun () -> Ba_trace.Replay.run ~on_event:(Bep.on_event sim) flat trace))
+        Bep.
+          [
+            Static_fallthrough;
+            Static_btfnt;
+            Static_likely (Ba_predict.Likely_bits.build image profile);
+            Pht_direct { entries = 4096 };
+            Pht_gshare { entries = 4096; history_bits = 12 };
+            Pht_global { history_bits = 12 };
+            Pht_local { history_bits = 12; branch_entries = 1024 };
+            Btb_arch { entries = 64; assoc = 2 };
+            Btb_arch { entries = 256; assoc = 4 };
+          ];
+      let issue =
+        Ba_isa.Pairing.prefix_table (Ba_isa.Codegen.of_image ~fp_fraction:0.08 image)
+      in
+      let alpha = Alpha.create ~issue () in
+      measure (name ^ " Alpha") (fun () ->
+          Ba_trace.Replay.run ~on_event:(Alpha.on_event alpha)
+            ~on_block:(Alpha.on_block alpha) flat trace))
+    [ "gcc"; "compress"; "li" ];
+  Printf.printf
+    "alloc wall: %d simulator runs over %d steps, at most %d minor words per run (budget %d)\n%!"
+    !runs !steps !worst alloc_wall_budget
+
 let qcheck_cases =
   let open QCheck in
   [
@@ -315,6 +377,8 @@ let suites =
         Alcotest.test_case "cycles" `Quick test_alpha_cycles;
         Alcotest.test_case "learns loop" `Quick test_alpha_learns_loop;
         Alcotest.test_case "alignment helps" `Quick test_alpha_alignment_helps_end_to_end;
+        Alcotest.test_case "alloc wall: every arch and Alpha allocation-free" `Slow
+          test_alloc_wall;
       ] );
     ("sim.properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
   ]
