@@ -233,7 +233,7 @@ let rule_cond_counts t geom spec =
   (!mf, !mp)
 
 (* Full conditional-substream replay against a real predictor. *)
-let replay_cond t geom ~predict ~update =
+let replay_cond t geom ~access =
   let fl = geom.flat in
   let mfp = t.penalties.Bep.misfetch and mpp = t.penalties.Bep.mispredict in
   let pen = ref 0 in
@@ -243,9 +243,7 @@ let replay_cond t geom ~predict ~update =
       let outcome = cr land 1 = 1 in
       let taken = outcome = (fl.Flat.b.(geom.to_g.(s)) = 1) in
       let pc = geom.bpc.(s) in
-      let predicted = predict ~pc in
-      update ~pc ~taken;
-      if predicted = taken then begin
+      if access ~pc ~taken = taken then begin
         if taken then pen := !pen + mfp
       end
       else pen := !pen + mpp)
@@ -256,16 +254,16 @@ let full_cond_penalty t geom spec =
   match spec with
   | Pht_direct { entries } ->
     let p = Pht.create_direct ~entries in
-    replay_cond t geom ~predict:(Pht.predict p) ~update:(Pht.update p)
+    replay_cond t geom ~access:(Pht.access p)
   | Pht_gshare { entries; history_bits } ->
     let p = Pht.create_gshare ~entries ~history_bits in
-    replay_cond t geom ~predict:(Pht.predict p) ~update:(Pht.update p)
+    replay_cond t geom ~access:(Pht.access p)
   | Pht_global { history_bits } ->
     let p = Two_level.create_global ~history_bits () in
-    replay_cond t geom ~predict:(Two_level.predict p) ~update:(Two_level.update p)
+    replay_cond t geom ~access:(Two_level.access p)
   | Pht_local { history_bits; branch_entries } ->
     let p = Two_level.create_local ~history_bits ~branch_entries () in
-    replay_cond t geom ~predict:(Two_level.predict p) ~update:(Two_level.update p)
+    replay_cond t geom ~access:(Two_level.access p)
   | Fallthrough | Btfnt | Likely | Btb _ -> assert false
 
 (* Executed conditional sites whose branch pc or sense differ from the

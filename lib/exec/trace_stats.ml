@@ -27,6 +27,9 @@ let create () =
   }
 
 let bump_cond_pc t pc =
+  (* both bounds before the unchecked access: a negative pc would bump the
+     word in front of the array *)
+  if pc < 0 then invalid_arg "Trace_stats.on_event: negative pc";
   if pc >= Array.length t.cond_by_pc then begin
     let grown = Array.make (max (pc + 1) (2 * Array.length t.cond_by_pc)) 0 in
     Array.blit t.cond_by_pc 0 grown 0 (Array.length t.cond_by_pc);
@@ -40,7 +43,7 @@ let on_event t (e : Event.t) =
   match e.kind with
   | Event.Cond { taken; _ } ->
     t.cond <- t.cond + 1;
-    if taken then t.cond_taken <- t.cond_taken + 1;
+    t.cond_taken <- t.cond_taken + Bool.to_int taken;
     bump_cond_pc t e.pc
   | Event.Uncond -> t.uncond <- t.uncond + 1
   | Event.Indirect_jump -> t.ijump <- t.ijump + 1

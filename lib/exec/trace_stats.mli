@@ -13,6 +13,8 @@ type t
 val create : unit -> t
 
 val on_event : t -> Event.t -> unit
+(** Count one branch event.  Raises [Invalid_argument] on a conditional at
+    a negative pc, which has no slot in the per-pc counts. *)
 
 type summary = {
   insns : int;  (** instructions traced *)

@@ -1,29 +1,26 @@
-type line = {
-  mutable tag : int;  (* -1 = invalid *)
-  bits : bool array;  (* history bit per instruction slot *)
-  valid : bool array;  (* has this slot's bit been written since the fill? *)
-}
-
 type t = {
-  lines : line array;
+  tags : int array;  (* line number held by each stored line; -1 = invalid *)
+  (* one history-bit slot per instruction, line-major ([line *
+     insns_per_line + slot]): [unwritten] since the line's fill, else the
+     direction last recorded there *)
+  bits : Bytes.t;
   insns_per_line : int;
   (* local books, flushed to the predict.alpha.* counters once per run *)
   mutable s_cold : int;
   mutable s_refills : int;
 }
 
+let unwritten = '\000'
+let bit_not_taken = '\001'
+let bit_taken = '\002'
+
 let create ?(lines = 256) ?(insns_per_line = 8) () =
   if lines <= 0 || lines land (lines - 1) <> 0 then
     invalid_arg "Alpha_bits.create: line count must be a power of two";
   if insns_per_line <= 0 then invalid_arg "Alpha_bits.create: bad line size";
   {
-    lines =
-      Array.init lines (fun _ ->
-          {
-            tag = -1;
-            bits = Array.make insns_per_line false;
-            valid = Array.make insns_per_line false;
-          });
+    tags = Array.make lines (-1);
+    bits = Bytes.make (lines * insns_per_line) unwritten;
     insns_per_line;
     s_cold = 0;
     s_refills = 0;
@@ -36,38 +33,34 @@ let line_no_of ~insns_per_line ~pc = pc / insns_per_line
 let slot_of ~insns_per_line ~pc = pc mod insns_per_line
 let line_index ~lines ~line_no = line_no land (lines - 1)
 
-(* The stored line a line number maps to.  Callers compute the tag and
-   slot inline: this runs on every conditional, where returning the three
-   as a tuple would allocate. *)
-let line_of t ~line_no = t.lines.(line_index ~lines:(Array.length t.lines) ~line_no)
-
 let m_refill = Ba_obs.Counter.make ~unit_:"events" "predict.alpha.refill"
 let m_cold = Ba_obs.Counter.make ~unit_:"events" "predict.alpha.cold"
 
-let refill line tag =
-  line.tag <- tag;
-  Array.fill line.valid 0 (Array.length line.valid) false
-
-let predict t ~pc ~taken_target =
-  let tag = line_no_of ~insns_per_line:t.insns_per_line ~pc in
-  let line = line_of t ~line_no:tag in
-  let slot = slot_of ~insns_per_line:t.insns_per_line ~pc in
-  if line.tag = tag && line.valid.(slot) then line.bits.(slot)
-  else begin
-    t.s_cold <- t.s_cold + 1;
-    taken_target <= pc (* static BT/FNT on a cold bit *)
-  end
-
-let update t ~pc ~taken =
-  let tag = line_no_of ~insns_per_line:t.insns_per_line ~pc in
-  let line = line_of t ~line_no:tag in
-  let slot = slot_of ~insns_per_line:t.insns_per_line ~pc in
-  if line.tag <> tag then begin
+let access t ~pc ~taken_target ~taken =
+  (* a negative pc has a negative slot, which would land in the previous
+     line's bits *)
+  if pc < 0 then invalid_arg "Alpha_bits.access: negative pc";
+  let ipl = t.insns_per_line in
+  let tag = line_no_of ~insns_per_line:ipl ~pc in
+  let line = line_index ~lines:(Array.length t.tags) ~line_no:tag in
+  let slot = (line * ipl) + slot_of ~insns_per_line:ipl ~pc in
+  let resident = t.tags.(line) = tag in
+  let bit = if resident then Bytes.get t.bits slot else unwritten in
+  let predicted =
+    if bit <> unwritten then bit = bit_taken
+    else begin
+      t.s_cold <- t.s_cold + 1;
+      taken_target <= pc (* static BT/FNT on a cold bit *)
+    end
+  in
+  if not resident then begin
     t.s_refills <- t.s_refills + 1;
-    refill line tag
+    t.tags.(line) <- tag;
+    Bytes.fill t.bits (line * ipl) ipl unwritten
   end;
-  line.bits.(slot) <- taken;
-  line.valid.(slot) <- true
+  (* the recorded bit is arithmetic on [taken], not a branch on it *)
+  Bytes.set t.bits slot (Char.unsafe_chr (Char.code bit_not_taken + Bool.to_int taken));
+  predicted
 
 let flush_obs t =
   Ba_obs.Counter.add m_cold t.s_cold;

@@ -9,20 +9,24 @@
     evictions fall back to BT/FNT.
 
     The 21064's 8 KB instruction cache has 32-byte lines; with 4-byte
-    instructions that is 8 instructions per line and 256 lines. *)
+    instructions that is 8 instructions per line and 256 lines.
+
+    The line tags are one int array and the history bits one byte per
+    instruction slot, line-major, so {!access} computes a branch's line,
+    tag and slot once and reads and writes flat arrays. *)
 
 type t
 
 val create : ?lines:int -> ?insns_per_line:int -> unit -> t
 (** Defaults: 256 lines of 8 instructions. *)
 
-val predict : t -> pc:int -> taken_target:int -> bool
-(** Predicted direction of the conditional at [pc].  If [pc]'s line was
-    evicted (or never seen), the prediction is BT/FNT on [taken_target]. *)
-
-val update : t -> pc:int -> taken:bool -> unit
-(** Record the resolved direction in [pc]'s history bit, filling the line if
-    needed. *)
+val access : t -> pc:int -> taken_target:int -> taken:bool -> bool
+(** The direction predicted for the conditional at [pc], read {e before}
+    recording its resolved direction [taken]: [pc]'s history bit, or, if
+    its line was evicted (or never seen) or the bit not yet written since
+    the fill, BT/FNT on [taken_target].  Then [taken] is recorded in the
+    bit, (re)filling the line if needed.  Raises [Invalid_argument] on a
+    negative [pc]. *)
 
 (** {1 Pure indexing}
 

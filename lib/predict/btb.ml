@@ -1,12 +1,13 @@
-type entry = {
-  mutable tag : int;  (* full pc; -1 = invalid *)
-  mutable target : int;
-  mutable counter : Counter2.t;
-  mutable stamp : int;  (* LRU clock *)
-}
-
+(* One flat slot per way, [slot = set * assoc + way], held in parallel int
+   arrays so a set scan reads contiguous words instead of hopping through
+   one record per way. *)
 type t = {
-  sets : entry array array;  (* sets.(set).(way) *)
+  tags : int array;  (* full pc; -1 = invalid *)
+  targets : int array;
+  counters : Counter2.t array;
+  stamps : int array;  (* LRU clock at the last touch; 0 = never touched *)
+  assoc : int;
+  set_mask : int;  (* set count - 1, fixed at [create] *)
   mutable clock : int;
   (* local books, flushed to the predict.btb.* counters once per run *)
   mutable s_lookups : int;
@@ -24,15 +25,27 @@ let m_miss = Ba_obs.Counter.make ~unit_:"events" "predict.btb.miss"
 let m_alloc = Ba_obs.Counter.make ~unit_:"events" "predict.btb.alloc"
 let m_evict = Ba_obs.Counter.make ~unit_:"events" "predict.btb.evict"
 
+(* Pure indexing, shared with static conflict analysis: the tag is the full
+   branch address, the set is its low bits.  [set_index] and the simulator
+   both apply [set_of]; the simulator fixes the mask once, at [create]. *)
+let set_mask ~entries ~assoc = (entries / assoc) - 1
+let set_of ~set_mask ~pc = pc land set_mask
+let set_index ~entries ~assoc ~pc = set_of ~set_mask:(set_mask ~entries ~assoc) ~pc
+let tag_of ~pc = pc
+
 let create ~entries ~assoc =
   if assoc <= 0 || entries <= 0 || entries mod assoc <> 0 then
     invalid_arg "Btb.create: entries must be a positive multiple of assoc";
   let n_sets = entries / assoc in
   if n_sets land (n_sets - 1) <> 0 then
     invalid_arg "Btb.create: set count must be a power of two";
-  let fresh_entry () = { tag = -1; target = 0; counter = Counter2.initial; stamp = 0 } in
   {
-    sets = Array.init n_sets (fun _ -> Array.init assoc (fun _ -> fresh_entry ()));
+    tags = Array.make entries (-1);
+    targets = Array.make entries 0;
+    counters = Array.make entries Counter2.initial;
+    stamps = Array.make entries 0;
+    assoc;
+    set_mask = set_mask ~entries ~assoc;
     clock = 0;
     s_lookups = 0;
     s_hits = 0;
@@ -43,80 +56,66 @@ let create ~entries ~assoc =
     s_sat_lo = 0;
   }
 
-(* Pure indexing, shared with static conflict analysis: the tag is the full
-   branch address, the set is its low bits. *)
-let set_index ~entries ~assoc ~pc = pc land ((entries / assoc) - 1)
-let tag_of ~pc = pc
-
-let set_of t ~pc =
-  let assoc = Array.length t.sets.(0) in
-  let entries = Array.length t.sets * assoc in
-  t.sets.(set_index ~entries ~assoc ~pc)
-
-(* The way holding [pc]'s tag, or -1: an index from a loop, so the
-   per-event path builds no closure and no option. *)
-let find_way set ~pc =
+(* One pass over [pc]'s set: the slot holding its tag, or, on a miss,
+   [-1 - v] where [v] is the set's LRU slot (the first lowest stamp, so
+   invalid slots, stamp 0, fill first).  The masked set times [assoc] plus
+   a way stays below [entries], so the reads need no bounds check. *)
+let scan t ~pc =
   let tag = tag_of ~pc in
-  let n = Array.length set in
-  let i = ref 0 in
-  while !i < n && set.(!i).tag <> tag do
-    incr i
+  let base = set_of ~set_mask:t.set_mask ~pc * t.assoc in
+  let last = base + t.assoc - 1 in
+  let s = ref base and lru = ref base in
+  while !s <= last && Array.unsafe_get t.tags !s <> tag do
+    if Array.unsafe_get t.stamps !s < Array.unsafe_get t.stamps !lru then lru := !s;
+    incr s
   done;
-  if !i = n then -1 else !i
+  if !s <= last then !s else -1 - !lru
+
+let answer t s = (t.targets.(s) lsl 1) lor Bool.to_int (Counter2.predict t.counters.(s))
 
 let probe t ~pc =
+  let s = scan t ~pc in
+  if s < 0 then -1 else answer t s
+
+let touch t s =
+  t.clock <- t.clock + 1;
+  t.stamps.(s) <- t.clock
+
+let access t ~pc ~taken ~target =
+  if target < 0 then invalid_arg "Btb.access: negative target";
   t.s_lookups <- t.s_lookups + 1;
-  let set = set_of t ~pc in
-  let w = find_way set ~pc in
-  if w < 0 then begin
-    t.s_misses <- t.s_misses + 1;
-    -1
+  let s = scan t ~pc in
+  if s >= 0 then begin
+    t.s_hits <- t.s_hits + 1;
+    let p = answer t s in
+    (* as in Pht.access, the outcome-dependent training is arithmetic on
+       [Bool.to_int taken], not branches: a taken hit stores [target] *)
+    let c = t.counters.(s) in
+    let step = (c :> int) + Bool.to_int taken in
+    t.s_sat_hi <- t.s_sat_hi + Bool.to_int (step = 4);
+    t.s_sat_lo <- t.s_sat_lo + Bool.to_int (step = 0);
+    t.counters.(s) <- Counter2.update c ~taken;
+    let stored = t.targets.(s) in
+    t.targets.(s) <- stored + ((target - stored) * Bool.to_int taken);
+    touch t s;
+    p
   end
   else begin
-    t.s_hits <- t.s_hits + 1;
-    let e = set.(w) in
-    (e.target lsl 1) lor if Counter2.predict e.counter then 1 else 0
+    t.s_misses <- t.s_misses + 1;
+    if taken then begin
+      (* allocate in the LRU slot the scan found *)
+      let v = -1 - s in
+      t.s_allocs <- t.s_allocs + 1;
+      if t.tags.(v) >= 0 then t.s_evicts <- t.s_evicts + 1;
+      t.tags.(v) <- tag_of ~pc;
+      t.targets.(v) <- target;
+      t.counters.(v) <- Counter2.strongly_taken;
+      touch t v
+    end;
+    -1
   end
 
-let touch t e =
-  t.clock <- t.clock + 1;
-  e.stamp <- t.clock
-
-let update t ~pc ~taken ~target =
-  if target < 0 then invalid_arg "Btb.update: negative target";
-  let set = set_of t ~pc in
-  let w = find_way set ~pc in
-  if w >= 0 then begin
-    let e = set.(w) in
-    if taken then begin if (e.counter :> int) = 3 then t.s_sat_hi <- t.s_sat_hi + 1 end
-    else if (e.counter :> int) = 0 then t.s_sat_lo <- t.s_sat_lo + 1;
-    e.counter <- Counter2.update e.counter ~taken;
-    if taken then e.target <- target;
-    touch t e
-  end
-  else if taken then begin
-    (* Allocate, evicting the LRU way (invalid entries have stamp 0 and
-       lose ties, so they are filled first). *)
-    let victim = ref set.(0) in
-    for i = 1 to Array.length set - 1 do
-      if set.(i).stamp < !victim.stamp then victim := set.(i)
-    done;
-    let victim = !victim in
-    t.s_allocs <- t.s_allocs + 1;
-    if victim.tag >= 0 then t.s_evicts <- t.s_evicts + 1;
-    victim.tag <- tag_of ~pc;
-    victim.target <- target;
-    victim.counter <- Counter2.strongly_taken;
-    touch t victim
-  end
-
-let entries t = Array.length t.sets * Array.length t.sets.(0)
-let assoc t = Array.length t.sets.(0)
-
-let occupancy t =
-  Array.fold_left
-    (fun acc set -> Array.fold_left (fun acc e -> if e.tag >= 0 then acc + 1 else acc) acc set)
-    0 t.sets
+let occupancy t = Array.fold_left (fun acc tag -> if tag >= 0 then acc + 1 else acc) 0 t.tags
 
 let flush_obs t =
   Ba_obs.Counter.add m_lookup t.s_lookups;

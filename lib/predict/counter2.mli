@@ -13,7 +13,10 @@ val strongly_taken : t
 (** Starting state for entries allocated on a taken branch. *)
 
 val predict : t -> bool
+
 val update : t -> taken:bool -> t
+(** One saturating step toward [taken]: a table read, with no branch on
+    [taken] or on the state. *)
 
 val flush_sat : hi:int -> lo:int -> unit
 (** Bulk-record [hi] saturated-taken and [lo] saturated-not-taken updates
@@ -22,3 +25,7 @@ val flush_sat : hi:int -> lo:int -> unit
 
 val of_int : int -> t
 (** Clamped to [\[0, 3\]]; for tests. *)
+
+val of_bits : int -> t
+(** The counter held in the two low bits of [n]: the decoder of a word
+    that packs a counter with other state (a {!Pht} entry). *)

@@ -1,7 +1,10 @@
-type set = { tags : int array; stamps : int array }
-
+(* One flat slot per way, [slot = set * assoc + way], in parallel int
+   arrays with the set mask fixed at [create], as in Btb. *)
 type t = {
-  sets : set array;
+  tags : int array;  (* line number held; -1 = invalid *)
+  stamps : int array;  (* LRU clock at the last touch; 0 = never touched *)
+  assoc : int;
+  set_mask : int;  (* set count - 1 *)
   insns_per_line : int;
   mutable clock : int;
   mutable accesses : int;
@@ -11,6 +14,13 @@ type t = {
   mutable flushed_misses : int;
 }
 
+(* Pure indexing, shared with static conflict analysis; [set_index] and
+   the model both apply [set_of]. *)
+let line_of ~insns_per_line ~addr = addr / insns_per_line
+let set_mask ~lines ~assoc = (lines / assoc) - 1
+let set_of ~set_mask ~line = line land set_mask
+let set_index ~lines ~assoc ~line = set_of ~set_mask:(set_mask ~lines ~assoc) ~line
+
 let create ?(lines = 256) ?(insns_per_line = 8) ?(assoc = 1) () =
   if lines <= 0 || assoc <= 0 || lines mod assoc <> 0 then
     invalid_arg "Icache.create: lines must be a positive multiple of assoc";
@@ -19,7 +29,10 @@ let create ?(lines = 256) ?(insns_per_line = 8) ?(assoc = 1) () =
     invalid_arg "Icache.create: set count must be a power of two";
   if insns_per_line <= 0 then invalid_arg "Icache.create: bad line size";
   {
-    sets = Array.init n_sets (fun _ -> { tags = Array.make assoc (-1); stamps = Array.make assoc 0 });
+    tags = Array.make lines (-1);
+    stamps = Array.make lines 0;
+    assoc;
+    set_mask = set_mask ~lines ~assoc;
     insns_per_line;
     clock = 0;
     accesses = 0;
@@ -31,32 +44,25 @@ let create ?(lines = 256) ?(insns_per_line = 8) ?(assoc = 1) () =
 let m_access = Ba_obs.Counter.make ~unit_:"lines" "predict.icache.access"
 let m_miss = Ba_obs.Counter.make ~unit_:"lines" "predict.icache.miss"
 
-(* Pure indexing, shared with static conflict analysis. *)
-let line_of ~insns_per_line ~addr = addr / insns_per_line
-let set_index ~lines ~assoc ~line = line land ((lines / assoc) - 1)
-
+(* One scan of the set finds the line's way or, on a miss, the LRU victim
+   (the first lowest stamp: invalid ways, stamp 0, fill first).  The
+   masked set times [assoc] plus a way stays below [lines], so the reads
+   need no bounds check. *)
 let access_line t line_no =
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
-  let assoc = Array.length t.sets.(0).tags in
-  let lines = Array.length t.sets * assoc in
-  let set = t.sets.(set_index ~lines ~assoc ~line:line_no) in
-  let ways = Array.length set.tags in
-  (* an index from a loop: no closure or option per fetched line *)
-  let way = ref 0 in
-  while !way < ways && set.tags.(!way) <> line_no do
-    incr way
+  let base = set_of ~set_mask:t.set_mask ~line:line_no * t.assoc in
+  let last = base + t.assoc - 1 in
+  let s = ref base and lru = ref base in
+  while !s <= last && Array.unsafe_get t.tags !s <> line_no do
+    if Array.unsafe_get t.stamps !s < Array.unsafe_get t.stamps !lru then lru := !s;
+    incr s
   done;
-  if !way < ways then set.stamps.(!way) <- t.clock
+  if !s <= last then t.stamps.(!s) <- t.clock
   else begin
     t.misses <- t.misses + 1;
-    (* Evict the LRU way (invalid ways have stamp 0 and lose ties). *)
-    let victim = ref 0 in
-    for w = 1 to ways - 1 do
-      if set.stamps.(w) < set.stamps.(!victim) then victim := w
-    done;
-    set.tags.(!victim) <- line_no;
-    set.stamps.(!victim) <- t.clock
+    t.tags.(!lru) <- line_no;
+    t.stamps.(!lru) <- t.clock
   end
 
 let touch_range t ~addr ~size =

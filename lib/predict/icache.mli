@@ -8,7 +8,12 @@
     the 21064 configuration is 8 KB direct-mapped with 32-byte lines
     (8 instructions per line at 4 bytes each).
 
-    Addresses are in instruction units, matching {!Ba_layout.Image}. *)
+    Addresses are in instruction units, matching {!Ba_layout.Image}.
+
+    The tags and LRU stamps are two flat arrays, one slot per way at
+    [set * assoc + way], and the set mask is fixed at {!create}: each
+    fetched line costs one scan of its set, which finds the way or, on a
+    miss, the LRU victim. *)
 
 type t
 

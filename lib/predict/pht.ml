@@ -1,9 +1,10 @@
 type scheme = Direct | Gshare of { history_bits : int }
 
 type t = {
-  table : Counter2.t array;
-  owner : int array;  (* last updating pc per entry; -1 = untouched. Metric-only. *)
-  mask : int;
+  (* One word per entry: [owner lsl 2 lor counter], where [owner] is the
+     last pc to train the entry (-1 = untouched; it feeds the metric-only
+     predict.pht.alias book) and [counter] the entry's Counter2.t. *)
+  table : int array;
   scheme : scheme;
   mutable history : int;
   (* local books, flushed to the predict.pht.* counters once per run *)
@@ -18,17 +19,16 @@ let m_lookup = Ba_obs.Counter.make ~unit_:"events" "predict.pht.lookup"
 let m_hit = Ba_obs.Counter.make ~unit_:"events" "predict.pht.hit"
 let m_alias = Ba_obs.Counter.make ~unit_:"events" "predict.pht.alias"
 
+let pack ~owner (c : Counter2.t) = (owner lsl 2) lor (c :> int)
+
 let check_power_of_two n =
   if n <= 0 || n land (n - 1) <> 0 then
     invalid_arg "Pht: entry count must be a positive power of two"
 
-let create_direct ~entries =
-  check_power_of_two entries;
+let make ~entries scheme =
   {
-    table = Array.make entries Counter2.initial;
-    owner = Array.make entries (-1);
-    mask = entries - 1;
-    scheme = Direct;
+    table = Array.make entries (pack ~owner:(-1) Counter2.initial);
+    scheme;
     history = 0;
     s_lookups = 0;
     s_hits = 0;
@@ -36,23 +36,16 @@ let create_direct ~entries =
     s_sat_hi = 0;
     s_sat_lo = 0;
   }
+
+let create_direct ~entries =
+  check_power_of_two entries;
+  make ~entries Direct
 
 let create_gshare ~entries ~history_bits =
   check_power_of_two entries;
   if history_bits < 1 || history_bits > 30 then
     invalid_arg "Pht.create_gshare: history_bits out of range";
-  {
-    table = Array.make entries Counter2.initial;
-    owner = Array.make entries (-1);
-    mask = entries - 1;
-    scheme = Gshare { history_bits };
-    history = 0;
-    s_lookups = 0;
-    s_hits = 0;
-    s_aliases = 0;
-    s_sat_hi = 0;
-    s_sat_lo = 0;
-  }
+  make ~entries (Gshare { history_bits })
 
 (* The pure indexing functions.  Simulation (below) and static conflict
    analysis (Ba_conflict) both go through these, so the two views of "which
@@ -66,23 +59,29 @@ let index t ~pc =
   | Direct -> direct_index ~entries ~pc
   | Gshare _ -> gshare_index ~entries ~history:t.history ~pc
 
-let predict t ~pc =
-  t.s_lookups <- t.s_lookups + 1;
-  Counter2.predict t.table.(index t ~pc)
+let predict t ~pc = Counter2.predict (Counter2.of_bits t.table.(index t ~pc))
 
-let update t ~pc ~taken =
+let access t ~pc ~taken =
+  t.s_lookups <- t.s_lookups + 1;
   let i = index t ~pc in
-  let c = t.table.(i) in
-  if Counter2.predict c = taken then t.s_hits <- t.s_hits + 1;
-  if t.owner.(i) >= 0 && t.owner.(i) <> pc then t.s_aliases <- t.s_aliases + 1;
-  if taken then begin if (c :> int) = 3 then t.s_sat_hi <- t.s_sat_hi + 1 end
-  else if (c :> int) = 0 then t.s_sat_lo <- t.s_sat_lo + 1;
-  t.owner.(i) <- pc;
-  t.table.(i) <- Counter2.update c ~taken;
-  match t.scheme with
+  let e = t.table.(i) in
+  let c = Counter2.of_bits e in
+  let predicted = Counter2.predict c in
+  (* outcome-dependent books are sums of [Bool.to_int], not branches (see
+     Counter2.update); [c + taken] leaves [0, 3] exactly when the update
+     saturates *)
+  t.s_hits <- t.s_hits + Bool.to_int (predicted = taken);
+  let step = (c :> int) + Bool.to_int taken in
+  t.s_sat_hi <- t.s_sat_hi + Bool.to_int (step = 4);
+  t.s_sat_lo <- t.s_sat_lo + Bool.to_int (step = 0);
+  (* [e >= 0] iff the entry has an owner *)
+  if e >= 0 && e asr 2 <> pc then t.s_aliases <- t.s_aliases + 1;
+  t.table.(i) <- pack ~owner:pc (Counter2.update c ~taken);
+  (match t.scheme with
   | Direct -> ()
   | Gshare { history_bits } ->
-    t.history <- ((t.history lsl 1) lor if taken then 1 else 0) land ((1 lsl history_bits) - 1)
+    t.history <- ((t.history lsl 1) lor Bool.to_int taken) land ((1 lsl history_bits) - 1));
+  predicted
 
 let entries t = Array.length t.table
 

@@ -9,7 +9,12 @@
       accurate, used by the paper as its "correlation PHT".
 
     The paper's configuration is 4096 entries (1 KByte of 2-bit counters)
-    and, for the correlation table, a 12-bit global history. *)
+    and, for the correlation table, a 12-bit global history.
+
+    Each entry is one int packing the counter with the last pc that
+    trained it ([owner lsl 2 lor counter], owner [-1] until first
+    trained); the owner only feeds the [predict.pht.alias] book.  Owners
+    are exact for pcs below [2{^60}]. *)
 
 type t
 
@@ -18,13 +23,16 @@ val create_direct : entries:int -> t
 
 val create_gshare : entries:int -> history_bits:int -> t
 
-val predict : t -> pc:int -> bool
-(** Predicted direction for the conditional at [pc] (does not update any
-    state). *)
+val access : t -> pc:int -> taken:bool -> bool
+(** The direction the table predicted for the conditional at [pc], read
+    {e before} training on its resolved direction [taken]: one index
+    computation per conditional, then the indexed counter is trained and
+    (gshare) the outcome shifted into the global history.  Call once per
+    executed conditional. *)
 
-val update : t -> pc:int -> taken:bool -> unit
-(** Train the indexed counter and (gshare) shift the outcome into the global
-    history.  Call after {!predict} for each executed conditional. *)
+val predict : t -> pc:int -> bool
+(** {!access}'s answer for [pc] without training: it touches neither the
+    table, the history nor the books.  For tests that observe the table. *)
 
 val entries : t -> int
 
@@ -44,5 +52,7 @@ val gshare_index : entries:int -> history:int -> pc:int -> int
 
 val flush_obs : t -> unit
 (** Flush the books accumulated since the last flush to the
-    [predict.pht.*] / [predict.counter2.*] counters; the lookup and update
-    paths themselves never touch the registry. *)
+    [predict.pht.*] / [predict.counter2.*] counters: one lookup per
+    {!access}, a hit when its answer was right, an alias when it trained
+    an entry last trained by another pc, and its saturated counter
+    updates.  {!access} itself never touches the registry. *)

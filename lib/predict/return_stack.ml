@@ -33,7 +33,8 @@ let push t addr =
   t.s_pushes <- t.s_pushes + 1;
   if t.count = depth then t.s_overflows <- t.s_overflows + 1 else t.count <- t.count + 1;
   t.slots.(t.top) <- addr;
-  t.top <- (t.top + 1) mod depth;
+  (* wrap by compare: [mod] is a division on every call *)
+  t.top <- (if t.top + 1 = depth then 0 else t.top + 1);
   t.s_depths.(t.count) <- t.s_depths.(t.count) + 1
 
 let pop t =
@@ -43,7 +44,7 @@ let pop t =
     -1
   end
   else begin
-    t.top <- (t.top + Array.length t.slots - 1) mod Array.length t.slots;
+    t.top <- (if t.top = 0 then Array.length t.slots - 1 else t.top - 1);
     t.count <- t.count - 1;
     t.slots.(t.top)
   end

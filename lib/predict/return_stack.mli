@@ -3,7 +3,8 @@
 
     A fixed-depth circular stack: pushing beyond the depth silently
     overwrites the oldest entry; popping an empty stack predicts nothing
-    (a guaranteed misprediction). *)
+    (a guaranteed misprediction).  The top index wraps by compare, so a
+    push or pop does no division. *)
 
 type t
 

@@ -47,33 +47,35 @@ let create_local ?(history_bits = 12) ?(branch_entries = 1024) () =
    mapping to the same register interleave their outcome streams. *)
 let local_index ~branch_entries ~pc = pc land (branch_entries - 1)
 
-let index t ~pc =
-  match t.scheme with
-  | Global { history } -> history land t.pattern_mask
-  | Local { histories } ->
-    histories.(local_index ~branch_entries:(Array.length histories) ~pc)
-    land t.pattern_mask
-
 let m_lookup = Ba_obs.Counter.make ~unit_:"events" "predict.two_level.lookup"
 let m_hit = Ba_obs.Counter.make ~unit_:"events" "predict.two_level.hit"
 
-let predict t ~pc =
+let access t ~pc ~taken =
   t.s_lookups <- t.s_lookups + 1;
-  Counter2.predict t.pattern.(index t ~pc)
-
-let update t ~pc ~taken =
-  let i = index t ~pc in
+  let bit = Bool.to_int taken in
+  (* read the history register once, shifting the outcome in as it goes *)
+  let history =
+    match t.scheme with
+    | Global g ->
+      let h = g.history in
+      g.history <- ((h lsl 1) lor bit) land t.pattern_mask;
+      h
+    | Local { histories } ->
+      let j = local_index ~branch_entries:(Array.length histories) ~pc in
+      let h = histories.(j) in
+      histories.(j) <- ((h lsl 1) lor bit) land t.pattern_mask;
+      h
+  in
+  let i = history land t.pattern_mask in
   let c = t.pattern.(i) in
-  if Counter2.predict c = taken then t.s_hits <- t.s_hits + 1;
-  if taken then begin if (c :> int) = 3 then t.s_sat_hi <- t.s_sat_hi + 1 end
-  else if (c :> int) = 0 then t.s_sat_lo <- t.s_sat_lo + 1;
+  let predicted = Counter2.predict c in
+  (* books as in Pht.access: [Bool.to_int] sums, not branches *)
+  t.s_hits <- t.s_hits + Bool.to_int (predicted = taken);
+  let step = (c :> int) + bit in
+  t.s_sat_hi <- t.s_sat_hi + Bool.to_int (step = 4);
+  t.s_sat_lo <- t.s_sat_lo + Bool.to_int (step = 0);
   t.pattern.(i) <- Counter2.update c ~taken;
-  let bit = if taken then 1 else 0 in
-  match t.scheme with
-  | Global g -> g.history <- ((g.history lsl 1) lor bit) land t.pattern_mask
-  | Local { histories } ->
-    let j = local_index ~branch_entries:(Array.length histories) ~pc in
-    histories.(j) <- ((histories.(j) lsl 1) lor bit) land t.pattern_mask
+  predicted
 
 let name t =
   match t.scheme with

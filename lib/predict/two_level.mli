@@ -23,8 +23,12 @@ val create_local :
   ?history_bits:int -> ?branch_entries:int -> unit -> t
 (** Defaults: 12-bit local histories, 1024 branch-history entries. *)
 
-val predict : t -> pc:int -> bool
-val update : t -> pc:int -> taken:bool -> unit
+val access : t -> pc:int -> taken:bool -> bool
+(** The direction predicted for the conditional at [pc], read {e before}
+    training on its resolved direction [taken]: the history register is
+    read once, the pattern counter it selects is trained, and the outcome
+    is shifted into the register.  Call once per executed conditional. *)
+
 val name : t -> string
 
 val local_index : branch_entries:int -> pc:int -> int
@@ -35,4 +39,6 @@ val local_index : branch_entries:int -> pc:int -> int
 
 val flush_obs : t -> unit
 (** Flush the books accumulated since the last flush to the
-    [predict.two_level.*] / [predict.counter2.*] counters. *)
+    [predict.two_level.*] / [predict.counter2.*] counters: one lookup per
+    {!access}, a hit when its answer was right, and its saturated counter
+    updates. *)

@@ -58,12 +58,10 @@ let create ?(config = default_config) ?issue () =
 let on_event t (e : Event.t) =
   match e.kind with
   | Event.Cond { taken; taken_target } ->
-    let predicted = Alpha_bits.predict t.bits ~pc:e.pc ~taken_target in
-    Alpha_bits.update t.bits ~pc:e.pc ~taken;
-    if predicted = taken then begin
-      if taken then t.misfetches <- t.misfetches + 1
-    end
-    else t.mispredicts <- t.mispredicts + 1
+    (* [Bool.to_int] sums, not branches on the outcome, as in Bep *)
+    let right = Bool.to_int (Alpha_bits.access t.bits ~pc:e.pc ~taken_target ~taken = taken) in
+    t.misfetches <- t.misfetches + (right land Bool.to_int taken);
+    t.mispredicts <- t.mispredicts + (1 - right)
   | Event.Uncond -> t.misfetches <- t.misfetches + 1
   | Event.Call ->
     t.misfetches <- t.misfetches + 1;
@@ -72,8 +70,7 @@ let on_event t (e : Event.t) =
   | Event.Indirect_call ->
     t.mispredicts <- t.mispredicts + 1;
     Return_stack.push t.ras (Event.fallthrough_addr e)
-  | Event.Ret ->
-    if Return_stack.pop t.ras <> e.target then t.mispredicts <- t.mispredicts + 1
+  | Event.Ret -> t.mispredicts <- t.mispredicts + Bool.to_int (Return_stack.pop t.ras <> e.target)
 
 let on_block t ~addr ~size =
   ignore (Icache.touch_range t.icache ~addr ~size);

@@ -108,42 +108,40 @@ let create ?(penalties = default_penalties) ?(return_stack_depth = 32) arch =
 let misfetch t = t.c.misfetches <- t.c.misfetches + 1
 let mispredict t = t.c.mispredicts <- t.c.mispredicts + 1
 
+(* Charging for what depends on the simulated outcome is arithmetic on
+   [Bool.to_int], not branches: whether a simulated prediction was right is
+   as hard for the host's branch predictor to guess as for the simulated
+   one, so a branch on it would cost a host misprediction about as often
+   as the simulated branch mispredicts.  A BTB answer [p] is -1 on a miss,
+   so [p lsr 1] is then [max_int], which equals no target. *)
+
+(* A direction-only prediction: a right one still misfetches when taken. *)
+let direction t ~predicted ~taken =
+  let right = Bool.to_int (predicted = taken) in
+  t.c.cond_correct <- t.c.cond_correct + right;
+  t.c.misfetches <- t.c.misfetches + (right land Bool.to_int taken);
+  t.c.mispredicts <- t.c.mispredicts + (1 - right)
+
 let on_cond t (e : Event.t) ~taken ~taken_target =
   t.c.cond <- t.c.cond + 1;
-  if taken then t.c.cond_taken <- t.c.cond_taken + 1;
+  t.c.cond_taken <- t.c.cond_taken + Bool.to_int taken;
   match t.predictor with
   | Rule rule ->
-    let predicted = Static_rule.predict_taken rule ~pc:e.pc ~taken_target in
-    if predicted = taken then begin
-      t.c.cond_correct <- t.c.cond_correct + 1;
-      if taken then misfetch t
-    end
-    else mispredict t
-  | Table pht ->
-    let predicted = Pht.predict pht ~pc:e.pc in
-    Pht.update pht ~pc:e.pc ~taken;
-    if predicted = taken then begin
-      t.c.cond_correct <- t.c.cond_correct + 1;
-      if taken then misfetch t
-    end
-    else mispredict t
-  | Adaptive two ->
-    let predicted = Two_level.predict two ~pc:e.pc in
-    Two_level.update two ~pc:e.pc ~taken;
-    if predicted = taken then begin
-      t.c.cond_correct <- t.c.cond_correct + 1;
-      if taken then misfetch t
-    end
-    else mispredict t
+    direction t ~predicted:(Static_rule.predict_taken rule ~pc:e.pc ~taken_target) ~taken
+  | Table pht -> direction t ~predicted:(Pht.access pht ~pc:e.pc ~taken) ~taken
+  | Adaptive two -> direction t ~predicted:(Two_level.access two ~pc:e.pc ~taken) ~taken
   | Buffer btb ->
-    (* one int-coded probe: -1 misses, else target lsl 1 lor taken-bit *)
-    let p = Btb.probe btb ~pc:e.pc in
-    let correct =
-      if p >= 0 && p land 1 = 1 then taken && p lsr 1 = e.target else not taken
+    (* one int-coded access: -1 misses, else target lsl 1 lor taken-bit;
+       right when the direction matches and, if taken, so does the target *)
+    let p = Btb.access btb ~pc:e.pc ~taken ~target:e.target in
+    (* predicted taken: a hit whose counter bit is set *)
+    let predicted = Bool.to_int (p >= 0) land p land 1 = 1 in
+    let right =
+      Bool.to_int (predicted = taken)
+      land (Bool.to_int (not taken) lor Bool.to_int (p lsr 1 = e.target))
     in
-    Btb.update btb ~pc:e.pc ~taken ~target:e.target;
-    if correct then t.c.cond_correct <- t.c.cond_correct + 1
-    else mispredict t
+    t.c.cond_correct <- t.c.cond_correct + right;
+    t.c.mispredicts <- t.c.mispredicts + (1 - right)
 
 let on_always_taken t (e : Event.t) =
   (* Unconditional direct transfers: target known at decode, so the cost is
@@ -152,16 +150,15 @@ let on_always_taken t (e : Event.t) =
   match t.predictor with
   | Rule _ | Table _ | Adaptive _ -> misfetch t
   | Buffer btb ->
-    if Btb.probe btb ~pc:e.pc < 0 then misfetch t;
-    Btb.update btb ~pc:e.pc ~taken:true ~target:e.target
+    let p = Btb.access btb ~pc:e.pc ~taken:true ~target:e.target in
+    t.c.misfetches <- t.c.misfetches + Bool.to_int (p < 0)
 
 let on_indirect t (e : Event.t) =
   match t.predictor with
   | Rule _ | Table _ | Adaptive _ -> mispredict t
   | Buffer btb ->
-    let p = Btb.probe btb ~pc:e.pc in
-    if p < 0 || p lsr 1 <> e.target then mispredict t;
-    Btb.update btb ~pc:e.pc ~taken:true ~target:e.target
+    let p = Btb.access btb ~pc:e.pc ~taken:true ~target:e.target in
+    t.c.mispredicts <- t.c.mispredicts + Bool.to_int (p lsr 1 <> e.target)
 
 let on_event t (e : Event.t) =
   match e.kind with
@@ -183,8 +180,9 @@ let on_event t (e : Event.t) =
   | Event.Ret ->
     t.c.rets <- t.c.rets + 1;
     (* an empty stack pops -1, which no return target equals *)
-    if Return_stack.pop t.ras = e.target then t.c.rets_correct <- t.c.rets_correct + 1
-    else mispredict t
+    let right = Bool.to_int (Return_stack.pop t.ras = e.target) in
+    t.c.rets_correct <- t.c.rets_correct + right;
+    t.c.mispredicts <- t.c.mispredicts + (1 - right)
 
 let counts t = t.c
 

@@ -228,6 +228,25 @@ let test_trace_stats () =
   Alcotest.(check (float 0.01)) "pct cbr" (100.0 *. 10.0 /. 19.0) s.Trace_stats.pct_cbr;
   Alcotest.(check (float 0.01)) "pct br" (100.0 *. 9.0 /. 19.0) s.Trace_stats.pct_br
 
+let test_trace_stats_negative_pc () =
+  (* The per-pc counts are a flat array indexed without a bounds check, so
+     a conditional at a negative pc must be refused, not counted into the
+     word in front of the array. *)
+  let stats = Trace_stats.create () in
+  let cond pc = { Event.pc; target = 0; kind = Event.Cond { taken = true; taken_target = 0 } } in
+  Trace_stats.on_event stats (cond 0);
+  Alcotest.(check bool) "pc -1 refused" true
+    (try
+       Trace_stats.on_event stats (cond (-1));
+       false
+     with Invalid_argument _ -> true);
+  let prog =
+    Program.make ~name:"empty" ~seed:1
+      [| Proc.make ~name:"main" [| Block.make ~insns:1 Term.Halt |] |]
+  in
+  let s = Trace_stats.summarize stats ~program:prog ~insns:1 in
+  Alcotest.(check int) "only pc 0 counted" 1 s.Trace_stats.q100
+
 let qcheck_cases =
   let open QCheck in
   [
@@ -268,6 +287,9 @@ let suites =
         Alcotest.test_case "switch dispatch" `Quick test_switch_dispatch;
       ] );
     ( "exec.trace_stats",
-      [ Alcotest.test_case "loop stats" `Quick test_trace_stats ] );
+      [
+        Alcotest.test_case "loop stats" `Quick test_trace_stats;
+        Alcotest.test_case "negative pc refused" `Quick test_trace_stats_negative_pc;
+      ] );
     ("exec.properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
   ]

@@ -44,9 +44,10 @@ let test_static_rules () =
 
 let test_pht_learns_bias () =
   let pht = Pht.create_direct ~entries:16 in
-  for _ = 1 to 4 do
-    Pht.update pht ~pc:5 ~taken:true
-  done;
+  (* each access answers before it trains: the cold counter (weakly
+     not-taken) is wrong once, then right *)
+  let answers = List.init 4 (fun _ -> Pht.access pht ~pc:5 ~taken:true) in
+  Alcotest.(check (list bool)) "answers before training" [ false; true; true; true ] answers;
   Alcotest.(check bool) "learned taken" true (Pht.predict pht ~pc:5);
   Alcotest.(check bool) "other entry unaffected" false (Pht.predict pht ~pc:6)
 
@@ -54,7 +55,7 @@ let test_pht_aliasing () =
   (* pc 5 and pc 21 collide in a 16-entry direct-mapped table. *)
   let pht = Pht.create_direct ~entries:16 in
   for _ = 1 to 4 do
-    Pht.update pht ~pc:5 ~taken:true
+    ignore (Pht.access pht ~pc:5 ~taken:true : bool)
   done;
   Alcotest.(check bool) "aliased entry shares state" true (Pht.predict pht ~pc:21)
 
@@ -73,8 +74,7 @@ let test_gshare_learns_alternation () =
     let n = 1000 in
     for i = 1 to n do
       let taken = i mod 2 = 0 in
-      if Pht.predict pht ~pc:77 = taken then incr correct;
-      Pht.update pht ~pc:77 ~taken
+      if Pht.access pht ~pc:77 ~taken = taken then incr correct
     done;
     float_of_int !correct /. 1000.0
   in
@@ -87,10 +87,9 @@ let test_gshare_learns_alternation () =
 
 let test_gshare_history_masking () =
   let pht = Pht.create_gshare ~entries:16 ~history_bits:4 in
-  (* Just exercise update/predict through enough history wrap-arounds. *)
+  (* Just exercise access through enough history wrap-arounds. *)
   for i = 0 to 100 do
-    ignore (Pht.predict pht ~pc:i);
-    Pht.update pht ~pc:i ~taken:(i mod 3 = 0)
+    ignore (Pht.access pht ~pc:i ~taken:(i mod 3 = 0) : bool)
   done;
   Alcotest.(check int) "entries" 16 (Pht.entries pht)
 
@@ -106,10 +105,9 @@ let test_local_learns_loop_pattern () =
   let n = 2000 in
   for i = 1 to n do
     let taken = i mod 4 <> 0 in
-    if Two_level.predict two ~pc:5 = taken then incr correct;
-    Two_level.update two ~pc:5 ~taken;
+    if Two_level.access two ~pc:5 ~taken = taken then incr correct;
     (* Interleaved random branch at another address. *)
-    Two_level.update two ~pc:9 ~taken:(Ba_util.Rng.bool noise)
+    ignore (Two_level.access two ~pc:9 ~taken:(Ba_util.Rng.bool noise) : bool)
   done;
   let accuracy = float_of_int !correct /. float_of_int n in
   Alcotest.(check bool)
@@ -123,20 +121,24 @@ let test_global_learns_global_pattern () =
   let correct = ref 0 in
   for i = 1 to 1000 do
     let taken = i mod 2 = 0 in
-    if Two_level.predict two ~pc:0 = taken then incr correct;
-    Two_level.update two ~pc:0 ~taken
+    if Two_level.access two ~pc:0 ~taken = taken then incr correct
   done;
   Alcotest.(check bool) "global learns alternation" true (!correct > 950)
 
 let test_global_ignores_address () =
   (* Pan et al.'s degenerate scheme uses no branch address: two branches
-     with the same history index the same counter. *)
-  let two = Two_level.create_global ~history_bits:4 () in
-  for _ = 1 to 8 do
-    Two_level.update two ~pc:100 ~taken:true
-  done;
+     with the same history index the same counter.  Two tables trained
+     alike answer alike at different addresses. *)
+  let trained () =
+    let two = Two_level.create_global ~history_bits:4 () in
+    for _ = 1 to 8 do
+      ignore (Two_level.access two ~pc:100 ~taken:true : bool)
+    done;
+    two
+  in
   Alcotest.(check bool) "prediction shared across addresses" true
-    (Two_level.predict two ~pc:100 = Two_level.predict two ~pc:999)
+    (Two_level.access (trained ()) ~pc:100 ~taken:false
+    = Two_level.access (trained ()) ~pc:999 ~taken:false)
 
 let test_two_level_names () =
   Alcotest.(check string) "global" "global-2level-16"
@@ -154,31 +156,36 @@ let test_two_level_validation () =
 
 (* -- Btb ------------------------------------------------------------------- *)
 
-(* [Btb.probe] packs its answer: -1 on a miss, else target lsl 1 lor the
-   predicted-taken bit. *)
+(* [Btb.access] and [Btb.probe] pack their answer: -1 on a miss, else
+   target lsl 1 lor the predicted-taken bit. *)
 let btb_miss = -1
 let btb_hit ~target ~taken = (target lsl 1) lor Bool.to_int taken
+let btb_train btb ~pc ~taken ~target = ignore (Btb.access btb ~pc ~taken ~target : int)
 
 let test_btb_miss_then_hit () =
   let btb = Btb.create ~entries:64 ~assoc:2 in
-  Alcotest.(check int) "cold BTB should miss" btb_miss (Btb.probe btb ~pc:100);
-  Btb.update btb ~pc:100 ~taken:true ~target:200;
+  Alcotest.(check int) "cold BTB should miss" btb_miss
+    (Btb.access btb ~pc:100 ~taken:true ~target:200);
   Alcotest.(check int) "hit: stored target, allocated strongly taken"
-    (btb_hit ~target:200 ~taken:true) (Btb.probe btb ~pc:100)
+    (btb_hit ~target:200 ~taken:true)
+    (Btb.access btb ~pc:100 ~taken:true ~target:200)
 
 let test_btb_not_taken_never_allocates () =
   let btb = Btb.create ~entries:64 ~assoc:2 in
-  Btb.update btb ~pc:100 ~taken:false ~target:200;
+  btb_train btb ~pc:100 ~taken:false ~target:200;
   Alcotest.(check int) "not-taken branches must not be stored" btb_miss
     (Btb.probe btb ~pc:100);
   Alcotest.(check int) "empty" 0 (Btb.occupancy btb)
 
 let test_btb_counter_training () =
   let btb = Btb.create ~entries:64 ~assoc:2 in
-  Btb.update btb ~pc:100 ~taken:true ~target:200;
-  (* Two not-taken updates drive the 2-bit counter below the threshold. *)
-  Btb.update btb ~pc:100 ~taken:false ~target:200;
-  Btb.update btb ~pc:100 ~taken:false ~target:200;
+  btb_train btb ~pc:100 ~taken:true ~target:200;
+  (* Two not-taken accesses drive the 2-bit counter below the threshold;
+     each answers with the counter as it stood before training. *)
+  Alcotest.(check int) "strongly taken before the first" (btb_hit ~target:200 ~taken:true)
+    (Btb.access btb ~pc:100 ~taken:false ~target:200);
+  Alcotest.(check int) "weakly taken before the second" (btb_hit ~target:200 ~taken:true)
+    (Btb.access btb ~pc:100 ~taken:false ~target:200);
   Alcotest.(check int) "entry survives, counter trained down"
     (btb_hit ~target:200 ~taken:false) (Btb.probe btb ~pc:100)
 
@@ -187,11 +194,11 @@ let test_btb_lru_eviction () =
      the least recently used. *)
   let btb = Btb.create ~entries:8 ~assoc:2 in
   (* set index = pc mod 4; pcs 4, 8, 12 share set 0. *)
-  Btb.update btb ~pc:4 ~taken:true ~target:1;
-  Btb.update btb ~pc:8 ~taken:true ~target:2;
-  Btb.update btb ~pc:4 ~taken:true ~target:1;
+  btb_train btb ~pc:4 ~taken:true ~target:1;
+  btb_train btb ~pc:8 ~taken:true ~target:2;
+  btb_train btb ~pc:4 ~taken:true ~target:1;
   (* refresh 4 *)
-  Btb.update btb ~pc:12 ~taken:true ~target:3;
+  btb_train btb ~pc:12 ~taken:true ~target:3;
   (* evicts 8 *)
   Alcotest.(check int) "LRU entry should be evicted" btb_miss (Btb.probe btb ~pc:8);
   Alcotest.(check int) "recently used entry should survive"
@@ -199,8 +206,10 @@ let test_btb_lru_eviction () =
 
 let test_btb_target_update () =
   let btb = Btb.create ~entries:8 ~assoc:2 in
-  Btb.update btb ~pc:4 ~taken:true ~target:1;
-  Btb.update btb ~pc:4 ~taken:true ~target:9;
+  btb_train btb ~pc:4 ~taken:true ~target:1;
+  Alcotest.(check int) "answers the stored target, then trains the new one"
+    (btb_hit ~target:1 ~taken:true)
+    (Btb.access btb ~pc:4 ~taken:true ~target:9);
   Alcotest.(check int) "hit with the latest target" (btb_hit ~target:9 ~taken:true)
     (Btb.probe btb ~pc:4)
 
@@ -208,6 +217,11 @@ let test_btb_bad_geometry () =
   Alcotest.(check bool) "entries % assoc" true
     (try
        ignore (Btb.create ~entries:10 ~assoc:4);
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "negative target" true
+    (try
+       btb_train (Btb.create ~entries:8 ~assoc:2) ~pc:4 ~taken:true ~target:(-1);
        false
      with Invalid_argument _ -> true)
 
@@ -236,23 +250,30 @@ let test_ras_overflow_wraps () =
 let test_alpha_bits_cold_btfnt () =
   let bits = Alpha_bits.create () in
   Alcotest.(check bool) "cold backward predicted taken" true
-    (Alpha_bits.predict bits ~pc:100 ~taken_target:50);
+    (Alpha_bits.access bits ~pc:100 ~taken_target:50 ~taken:true);
+  (* pc 101 shares pc 100's line, which the first access filled, but its
+     own bit is still unwritten *)
   Alcotest.(check bool) "cold forward predicted not-taken" false
-    (Alpha_bits.predict bits ~pc:100 ~taken_target:150)
+    (Alpha_bits.access bits ~pc:101 ~taken_target:150 ~taken:true)
 
 let test_alpha_bits_history () =
   let bits = Alpha_bits.create () in
-  Alpha_bits.update bits ~pc:100 ~taken:false;
+  ignore (Alpha_bits.access bits ~pc:100 ~taken_target:50 ~taken:false : bool);
   Alcotest.(check bool) "bit overrides BT/FNT" false
-    (Alpha_bits.predict bits ~pc:100 ~taken_target:50)
+    (Alpha_bits.access bits ~pc:100 ~taken_target:50 ~taken:false)
 
 let test_alpha_bits_eviction_resets () =
   let bits = Alpha_bits.create ~lines:4 ~insns_per_line:8 () in
-  Alpha_bits.update bits ~pc:0 ~taken:false;
+  ignore (Alpha_bits.access bits ~pc:0 ~taken_target:0 ~taken:false : bool);
   (* pc 32 maps to the same line (4 lines x 8 insns = 32-instruction wrap). *)
-  Alpha_bits.update bits ~pc:32 ~taken:true;
+  ignore (Alpha_bits.access bits ~pc:32 ~taken_target:0 ~taken:true : bool);
   Alcotest.(check bool) "evicted bit falls back to BT/FNT" true
-    (Alpha_bits.predict bits ~pc:0 ~taken_target:0)
+    (Alpha_bits.access bits ~pc:0 ~taken_target:0 ~taken:false);
+  Alcotest.(check bool) "negative pc refused" true
+    (try
+       ignore (Alpha_bits.access bits ~pc:(-1) ~taken_target:0 ~taken:false : bool);
+       false
+     with Invalid_argument _ -> true)
 
 (* -- Icache ----------------------------------------------------------------- *)
 
@@ -371,7 +392,7 @@ let qcheck_cases =
       (list (pair small_nat bool))
       (fun updates ->
         let btb = Btb.create ~entries:16 ~assoc:4 in
-        List.iter (fun (pc, taken) -> Btb.update btb ~pc ~taken ~target:(pc + 1)) updates;
+        List.iter (fun (pc, taken) -> btb_train btb ~pc ~taken ~target:(pc + 1)) updates;
         Btb.occupancy btb <= 16);
   ]
 
@@ -379,7 +400,9 @@ let qcheck_cases =
    These scenarios re-drive the structures' corner branches (saturation
    rails, circular-stack wraparound, set-conflict eviction, index aliasing)
    and assert the exact event counts the instrumentation records, so both
-   the predictor semantics and the metric names/semantics are pinned. *)
+   the predictor semantics and the metric names/semantics are pinned.  The
+   structures keep local books and publish them only on [flush_obs], so
+   each scenario flushes inside the registry it reads. *)
 
 let counted f =
   let r = Ba_obs.Registry.create () in
@@ -387,33 +410,53 @@ let counted f =
   fun name -> Ba_obs.Registry.counter_value r name
 
 let test_obs_counter2_saturation_rails () =
+  (* Counter2 is pure; its owners count the saturated updates.  A PHT
+     entry starts at 1: two taken accesses climb to 3, the next 8
+     saturate high; three not-taken descend to 0, the next 7 saturate
+     low. *)
   let read =
     counted (fun () ->
-        let c = ref Ba_predict.Counter2.initial in
-        (* initial = 1: two updates climb to 3, the next 8 saturate high *)
+        let pht = Pht.create_direct ~entries:16 in
         for _ = 1 to 10 do
-          c := Ba_predict.Counter2.update !c ~taken:true
+          ignore (Pht.access pht ~pc:5 ~taken:true : bool)
         done;
-        (* three updates descend to 0, the next 7 saturate low *)
         for _ = 1 to 10 do
-          c := Ba_predict.Counter2.update !c ~taken:false
-        done)
+          ignore (Pht.access pht ~pc:5 ~taken:false : bool)
+        done;
+        Pht.flush_obs pht)
   in
-  Alcotest.(check int) "high rail" 8 (read "predict.counter2.sat_hi");
-  Alcotest.(check int) "low rail" 7 (read "predict.counter2.sat_lo")
+  Alcotest.(check int) "PHT high rail" 8 (read "predict.counter2.sat_hi");
+  Alcotest.(check int) "PHT low rail" 7 (read "predict.counter2.sat_lo");
+  (* A BTB entry is allocated strongly taken (no update): 4 taken hits all
+     saturate high; 5 not-taken hits descend to 0, then 2 saturate low. *)
+  let read =
+    counted (fun () ->
+        let btb = Btb.create ~entries:8 ~assoc:2 in
+        btb_train btb ~pc:4 ~taken:true ~target:1;
+        for _ = 1 to 4 do
+          btb_train btb ~pc:4 ~taken:true ~target:1
+        done;
+        for _ = 1 to 5 do
+          btb_train btb ~pc:4 ~taken:false ~target:1
+        done;
+        Btb.flush_obs btb)
+  in
+  Alcotest.(check int) "BTB high rail" 4 (read "predict.counter2.sat_hi");
+  Alcotest.(check int) "BTB low rail" 2 (read "predict.counter2.sat_lo")
 
 let test_obs_ras_overflow_underflow () =
   let popped = ref [] in
   let r = Ba_obs.Registry.create () in
   Ba_obs.Registry.with_registry r (fun () ->
-      let s = Ba_predict.Return_stack.create ~depth:2 in
-      Ba_predict.Return_stack.push s 10;
-      Ba_predict.Return_stack.push s 20;
-      Ba_predict.Return_stack.push s 30;
+      let s = Return_stack.create ~depth:2 in
+      Return_stack.push s 10;
+      Return_stack.push s 20;
+      Return_stack.push s 30;
       (* overflow: wraps, overwriting 10 *)
       for _ = 1 to 3 do
-        popped := Ba_predict.Return_stack.pop s :: !popped
-      done);
+        popped := Return_stack.pop s :: !popped
+      done;
+      Return_stack.flush_obs s);
   let read = Ba_obs.Registry.counter_value r in
   Alcotest.(check (list int))
     "wraparound pops newest two, then underflows"
@@ -432,47 +475,190 @@ let test_obs_ras_overflow_underflow () =
 let test_obs_btb_set_conflict_eviction () =
   let read =
     counted (fun () ->
-        let btb = Ba_predict.Btb.create ~entries:2 ~assoc:2 in
+        let btb = Btb.create ~entries:2 ~assoc:2 in
         (* one 2-way set: fill it, re-touch the first entry so the second
            becomes LRU, then allocate a third taken branch *)
-        Ba_predict.Btb.update btb ~pc:0x10 ~taken:true ~target:1;
-        Ba_predict.Btb.update btb ~pc:0x20 ~taken:true ~target:2;
-        Ba_predict.Btb.update btb ~pc:0x10 ~taken:true ~target:1;
-        Ba_predict.Btb.update btb ~pc:0x30 ~taken:true ~target:3;
+        btb_train btb ~pc:0x10 ~taken:true ~target:1;
+        btb_train btb ~pc:0x20 ~taken:true ~target:2;
+        btb_train btb ~pc:0x10 ~taken:true ~target:1;
+        btb_train btb ~pc:0x30 ~taken:true ~target:3;
+        (* probes observe without touching the books *)
         let expect pc hit =
           Alcotest.(check bool)
             (Printf.sprintf "pc %#x %s" pc (if hit then "survives" else "evicted"))
             hit
-            (Ba_predict.Btb.probe btb ~pc >= 0)
+            (Btb.probe btb ~pc >= 0)
         in
         expect 0x10 true;
         expect 0x20 false;
-        expect 0x30 true)
+        expect 0x30 true;
+        Btb.flush_obs btb)
   in
+  Alcotest.(check int) "one lookup per access" 4 (read "predict.btb.lookup");
+  Alcotest.(check int) "the re-touch hits" 1 (read "predict.btb.hit");
+  Alcotest.(check int) "misses" 3 (read "predict.btb.miss");
   Alcotest.(check int) "allocations" 3 (read "predict.btb.alloc");
-  Alcotest.(check int) "the LRU victim is evicted once" 1 (read "predict.btb.evict");
-  Alcotest.(check int) "verification lookups" 3 (read "predict.btb.lookup");
-  Alcotest.(check int) "hits" 2 (read "predict.btb.hit");
-  Alcotest.(check int) "misses" 1 (read "predict.btb.miss")
+  Alcotest.(check int) "the LRU victim is evicted once" 1 (read "predict.btb.evict")
 
 let test_obs_pht_alias_counter () =
   let read =
     counted (fun () ->
-        let pht = Ba_predict.Pht.create_direct ~entries:16 in
+        let pht = Pht.create_direct ~entries:16 in
         (* pc 5 trains the slot; pc 21 = 5 + 16 maps to the same index *)
-        Ba_predict.Pht.update pht ~pc:5 ~taken:true;
-        Ba_predict.Pht.update pht ~pc:5 ~taken:true;
-        Ba_predict.Pht.update pht ~pc:21 ~taken:false;
-        Ba_predict.Pht.update pht ~pc:5 ~taken:true;
-        ignore (Ba_predict.Pht.predict pht ~pc:5 : bool))
+        ignore (Pht.access pht ~pc:5 ~taken:true : bool);
+        ignore (Pht.access pht ~pc:5 ~taken:true : bool);
+        ignore (Pht.access pht ~pc:21 ~taken:false : bool);
+        ignore (Pht.access pht ~pc:5 ~taken:true : bool);
+        (* a read-only query is not a lookup *)
+        ignore (Pht.predict pht ~pc:5 : bool);
+        Pht.flush_obs pht)
   in
-  Alcotest.(check int) "one lookup" 1 (read "predict.pht.lookup");
-  (* updates where the trained direction already agreed: the second and
-     fourth (counter >= 2 predicts taken); the not-taken interloper and the
-     cold first update disagree *)
-  Alcotest.(check int) "agreeing updates" 2 (read "predict.pht.hit");
-  (* a different pc touching an owned slot: 21 after 5, then 5 after 21 *)
+  Alcotest.(check int) "one lookup per access" 4 (read "predict.pht.lookup");
+  (* accesses whose answer was right: the second and fourth (counter >= 2
+     predicts taken); the cold first access and the not-taken interloper
+     were wrong *)
+  Alcotest.(check int) "right answers" 2 (read "predict.pht.hit");
+  (* a different pc training an owned slot: 21 after 5, then 5 after 21 *)
   Alcotest.(check int) "alias transitions" 2 (read "predict.pht.alias")
+
+(* -- Predictor wall: the one-pass structures vs their reference models ---------
+   [Ref_predict] keeps the record-per-way BTB and the two-array PHT with
+   their separate lookup and update, and the array-of-sets icache.  Random
+   (pc, taken, target) streams, and random fetch ranges for the icache,
+   drive each reference model and the production structure side by side:
+   every answer, the flushed books and the final contents must be equal.
+   Addresses are drawn from a small range so that sets and entries are
+   shared and evictions and aliases are frequent. *)
+
+(* Deterministic QCheck stream; override with QCHECK_SEED. *)
+let qcheck_seed =
+  match Sys.getenv_opt "QCHECK_SEED" with
+  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> 0x5eed)
+  | None -> 0x5eed
+
+let wall_streams = ref 0
+let wall_accesses = ref 0
+
+(* The [names] counters a flush publishes, read from a fresh registry. *)
+let flushed names flush =
+  let r = Ba_obs.Registry.create () in
+  Ba_obs.Registry.with_registry r flush;
+  List.map (fun n -> (n, Ba_obs.Registry.counter_value r n)) names
+
+let check_books what got want =
+  List.iter2
+    (fun (n, g) (_, w) ->
+      if g <> w then QCheck.Test.fail_reportf "%s: %s is %d, the reference model's %d" what n g w)
+    got want
+
+let btb_wall =
+  QCheck.Test.make ~name:"BTB access = reference probe + update" ~count:500
+    QCheck.(
+      triple (int_range 1 4) (int_range 0 3)
+        (list_of_size Gen.(0 -- 300) (triple (int_range 0 47) bool (int_range 0 47))))
+    (fun (assoc, log_sets, stream) ->
+      let entries = assoc lsl log_sets in
+      let btb = Btb.create ~entries ~assoc in
+      let model = Ref_predict.Btb.create ~entries ~assoc in
+      let what = Printf.sprintf "BTB-%d/%d" entries assoc in
+      List.iteri
+        (fun i (pc, taken, target) ->
+          let got = Btb.access btb ~pc ~taken ~target in
+          let want = Ref_predict.Btb.probe model ~pc in
+          Ref_predict.Btb.update model ~pc ~taken ~target;
+          if got <> want then
+            QCheck.Test.fail_reportf "%s, access %d (pc %d): answered %d, the reference model %d"
+              what i pc got want)
+        stream;
+      let names =
+        [ "predict.btb.lookup"; "predict.btb.hit"; "predict.btb.miss"; "predict.btb.alloc";
+          "predict.btb.evict"; "predict.counter2.sat_hi"; "predict.counter2.sat_lo" ]
+      in
+      check_books what
+        (flushed names (fun () -> Btb.flush_obs btb))
+        (flushed names (fun () -> Ref_predict.Btb.flush_obs model));
+      for pc = 0 to 47 do
+        if Btb.probe btb ~pc <> Ref_predict.Btb.probe model ~pc then
+          QCheck.Test.fail_reportf "%s: final contents differ at pc %d" what pc
+      done;
+      incr wall_streams;
+      wall_accesses := !wall_accesses + List.length stream;
+      Btb.occupancy btb = Ref_predict.Btb.occupancy model)
+
+let pht_wall =
+  QCheck.Test.make ~name:"PHT access = reference predict + update" ~count:500
+    QCheck.(
+      quad bool (int_range 0 6) (int_range 1 8)
+        (list_of_size Gen.(0 -- 300) (pair (int_range 0 127) bool)))
+    (fun (gshare, log_entries, history_bits, stream) ->
+      let entries = 1 lsl log_entries in
+      let pht, model, what =
+        if gshare then
+          ( Pht.create_gshare ~entries ~history_bits,
+            Ref_predict.Pht.create_gshare ~entries ~history_bits,
+            Printf.sprintf "gshare-%d/%d" entries history_bits )
+        else
+          ( Pht.create_direct ~entries,
+            Ref_predict.Pht.create_direct ~entries,
+            Printf.sprintf "PHT-%d" entries )
+      in
+      List.iteri
+        (fun i (pc, taken) ->
+          let got = Pht.access pht ~pc ~taken in
+          let want = Ref_predict.Pht.predict model ~pc in
+          Ref_predict.Pht.update model ~pc ~taken;
+          if got <> want then
+            QCheck.Test.fail_reportf "%s, access %d (pc %d): answered %b, the reference model %b"
+              what i pc got want)
+        stream;
+      let names =
+        [ "predict.pht.lookup"; "predict.pht.hit"; "predict.pht.alias";
+          "predict.counter2.sat_hi"; "predict.counter2.sat_lo" ]
+      in
+      check_books what
+        (flushed names (fun () -> Pht.flush_obs pht))
+        (flushed names (fun () -> Ref_predict.Pht.flush_obs model));
+      (* under the final history, every entry reads the same direction *)
+      for pc = 0 to entries - 1 do
+        if Pht.predict pht ~pc <> Ref_predict.Pht.predict model ~pc then
+          QCheck.Test.fail_reportf "%s: final contents differ at pc %d" what pc
+      done;
+      incr wall_streams;
+      wall_accesses := !wall_accesses + List.length stream;
+      true)
+
+let icache_wall =
+  QCheck.Test.make ~name:"Icache = reference icache" ~count:300
+    QCheck.(
+      quad (int_range 1 4) (int_range 0 3) (int_range 1 8)
+        (list_of_size Gen.(0 -- 200) (pair (int_range 0 255) (int_range 0 12))))
+    (fun (assoc, log_sets, insns_per_line, fetches) ->
+      let lines = assoc lsl log_sets in
+      let cache = Icache.create ~lines ~insns_per_line ~assoc () in
+      let model = Ref_predict.Icache.create ~lines ~insns_per_line ~assoc in
+      List.iteri
+        (fun i (addr, size) ->
+          let got = Icache.touch_range cache ~addr ~size in
+          let want = Ref_predict.Icache.touch_range model ~addr ~size in
+          if got <> want then
+            QCheck.Test.fail_reportf
+              "icache %dx%d, %d-way, fetch %d (%d+%d): %d misses, the reference model %d" lines
+              insns_per_line assoc i addr size got want)
+        fetches;
+      incr wall_streams;
+      wall_accesses := !wall_accesses + List.length fetches;
+      Icache.accesses cache = model.Ref_predict.Icache.accesses
+      && Icache.misses cache = model.Ref_predict.Icache.misses)
+
+let test_predictor_wall () =
+  wall_streams := 0;
+  wall_accesses := 0;
+  let rand = Random.State.make [| qcheck_seed |] in
+  List.iter (QCheck.Test.check_exn ~rand) [ btb_wall; pht_wall; icache_wall ];
+  Printf.printf
+    "predictor wall: %d streams, %d accesses, every answer and book equal to the reference \
+     models\n%!"
+    !wall_streams !wall_accesses
 
 let suites =
   [
@@ -528,5 +714,19 @@ let suites =
         Alcotest.test_case "dense beats sparse" `Quick test_icache_dense_beats_sparse;
       ] );
     ("predict.likely_bits", [ Alcotest.test_case "hints" `Quick test_likely_bits ]);
+    ( "predict.obs",
+      [
+        Alcotest.test_case "counter2 saturation rails" `Quick
+          test_obs_counter2_saturation_rails;
+        Alcotest.test_case "RAS overflow and underflow" `Quick test_obs_ras_overflow_underflow;
+        Alcotest.test_case "BTB set-conflict eviction" `Quick
+          test_obs_btb_set_conflict_eviction;
+        Alcotest.test_case "PHT alias counter" `Quick test_obs_pht_alias_counter;
+      ] );
     ("predict.properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
+    ( "predict.wall",
+      [
+        Alcotest.test_case "BTB, PHTs and icache equal their reference models" `Quick
+          test_predictor_wall;
+      ] );
   ]

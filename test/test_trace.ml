@@ -405,6 +405,20 @@ let test_record_once_memo_gate () =
      a replay fails here. *)
   Alcotest.(check int) "every other image replayed" 17
     (Ba_obs.Registry.counter_value registry "exec.trace.replays");
+  (* And the predictor work those replays do, pinned exactly: 17 replays
+     of the 2,000-step trace, and the lookups, evictions and aliases of
+     the BTB and PHT books.  A change that adds or drops predictor work
+     per event fails here; a deliberate one re-pins these figures. *)
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check int) name expected (Ba_obs.Registry.counter_value registry name))
+    [
+      ("exec.trace.steps", 34_000);
+      ("predict.btb.lookup", 14_144);
+      ("predict.btb.evict", 0);
+      ("predict.pht.lookup", 10_910);
+      ("predict.pht.alias", 45);
+    ];
   let _, misses = Ba_workloads.Profiled.stats () in
   Alcotest.(check int) "single memo miss" 1 misses;
   ignore (Ba_workloads.Profiled.get_traced ~max_steps:2_000 w);
