@@ -10,28 +10,22 @@
 
 open Cmdliner
 
-let parse_core_algo s =
-  Result.map_error (fun e -> `Msg e) (Ba_core.Align.algo_of_name s)
-
+(* Every command takes a Ba_delta.Algo.t except lint and verify: their
+   checkers (Run.check_pipeline, Run.verify_pipeline, Bound.Lint.check)
+   take a Ba_core.Align algorithm, so they refuse anneal at parse time. *)
 let algo_conv =
-  let print ppf a = Fmt.string ppf (Ba_core.Align.algo_name a) in
-  Arg.conv (parse_core_algo, print)
+  let parse s = Result.map_error (fun e -> `Msg e) (Ba_delta.Algo.of_name s) in
+  let print ppf a = Fmt.string ppf (Ba_delta.Algo.name a) in
+  Arg.conv (parse, print)
 
-(* The align command additionally accepts the annealing search, which
-   prices moves through Ba_delta's incremental model and therefore lives
-   outside Ba_core.Align.algo. *)
-type align_algo = Core of Ba_core.Align.algo | Anneal
-
-let align_algo_name = function
-  | Core a -> Ba_core.Align.algo_name a
-  | Anneal -> "anneal"
-
-let align_algo_conv =
-  let parse = function
-    | "anneal" -> Ok Anneal
-    | s -> Result.map (fun a -> Core a) (parse_core_algo s)
+let core_algo_conv =
+  let parse s =
+    match Ba_delta.Algo.of_name s with
+    | Ok (Ba_delta.Algo.Core a) -> Ok a
+    | Ok Ba_delta.Algo.Anneal -> Error (`Msg "lint and verify do not accept anneal")
+    | Error e -> Error (`Msg e)
   in
-  let print ppf a = Fmt.string ppf (align_algo_name a) in
+  let print ppf a = Fmt.string ppf (Ba_core.Align.algo_name a) in
   Arg.conv (parse, print)
 
 let arch_conv =
@@ -47,9 +41,20 @@ let workload_arg =
 
 let algo_arg =
   let doc =
+    "Alignment algorithm: orig, greedy, cost, exttsp, tryN (e.g. try15), or \
+     anneal (the seeded annealing search)."
+  in
+  Arg.(
+    value
+    & opt algo_conv (Ba_delta.Algo.Core (Ba_core.Align.Tryn 15))
+    & info [ "algo" ] ~doc)
+
+let core_algo_arg =
+  let doc =
     "Alignment algorithm: orig, greedy, cost, exttsp, or tryN (e.g. try15)."
   in
-  Arg.(value & opt algo_conv (Ba_core.Align.Tryn 15) & info [ "algo" ] ~doc)
+  Arg.(
+    value & opt core_algo_conv (Ba_core.Align.Tryn 15) & info [ "algo" ] ~doc)
 
 let arch_arg =
   let doc = "Architectural cost model: fallthrough, btfnt, likely, pht, btb." in
@@ -82,42 +87,29 @@ let lookup name =
     Printf.eprintf "unknown workload %S; try the list command\n" name;
     exit 1
 
-let bep_archs =
-  [
-    Ba_sim.Bep.Static_fallthrough;
-    Ba_sim.Bep.Static_btfnt;
-    Ba_sim.Bep.Pht_direct { entries = 4096 };
-    Ba_sim.Bep.Pht_gshare { entries = 4096; history_bits = 12 };
-    Ba_sim.Bep.Btb_arch { entries = 256; assoc = 4 };
-  ]
-
 let run_cmd name algo arch interproc max_steps =
   let workload = lookup name in
   (* Record once, replay many: the memoized pass yields program + profile +
      semantic trace; both images below replay instead of re-interpreting. *)
   let program, profile, trace = Ba_workloads.Profiled.get_traced ~max_steps workload in
-  let archs_for image =
-    Ba_sim.Bep.Static_likely (Ba_predict.Likely_bits.build image profile) :: bep_archs
+  let run_image =
+    Ba_report.Harness.run_image ~max_steps ~profile ~trace
+      ~archs:Ba_report.Harness.simulate_archs
   in
   let orig_image = Ba_layout.Image.original ~profile program in
-  let orig =
-    Ba_sim.Runner.simulate ~max_steps ~trace ~archs:(archs_for orig_image) orig_image
-  in
+  let orig = run_image orig_image in
   let orig_insns = orig.Ba_sim.Runner.result.Ba_exec.Engine.insns in
   let aligned_image =
     if interproc then
-      let decisions = Ba_core.Align.align_program algo ~arch profile in
+      let decisions = Ba_delta.Algo.decisions algo ~arch profile in
       (Ba_layout.Image.build_interproc ~profile program decisions)
         .Ba_layout.Image.image
-    else Ba_core.Align.image algo ~arch profile
+    else Ba_delta.Algo.image algo ~arch profile
   in
-  let aligned =
-    Ba_sim.Runner.simulate ~max_steps ~trace ~archs:(archs_for aligned_image)
-      aligned_image
-  in
+  let aligned = run_image aligned_image in
   Printf.printf "workload %s: %s  (algorithm %s, cost model %s%s)\n\n"
     workload.Ba_workloads.Spec.name workload.Ba_workloads.Spec.description
-    (Ba_core.Align.algo_name algo)
+    (Ba_delta.Algo.name algo)
     (Ba_core.Cost_model.arch_name arch)
     (if interproc then ", inter-procedural layout" else "");
   Printf.printf "instructions: %s -> %s  (code size %d -> %d)\n"
@@ -135,13 +127,10 @@ let run_cmd name algo arch interproc max_steps =
       ]
   in
   let rows =
-    List.map2
-      (fun (arch, osim) (_, asim) ->
-        let ocpi = Ba_sim.Bep.relative_cpi osim ~insns:orig_insns ~orig_insns in
-        let acpi =
-          Ba_sim.Bep.relative_cpi asim
-            ~insns:aligned.Ba_sim.Runner.result.Ba_exec.Engine.insns ~orig_insns
-        in
+    List.mapi
+      (fun i (arch, _) ->
+        let ocpi = Ba_report.Harness.cpi orig ~orig_insns i in
+        let acpi = Ba_report.Harness.cpi aligned ~orig_insns i in
         [
           Ba_sim.Bep.arch_label arch;
           Ba_util.Ascii_table.float_cell ocpi;
@@ -149,7 +138,6 @@ let run_cmd name algo arch interproc max_steps =
           Ba_util.Ascii_table.float_cell ~decimals:1 (100.0 *. (1.0 -. (acpi /. ocpi)));
         ])
       (Array.to_list orig.Ba_sim.Runner.sims)
-      (Array.to_list aligned.Ba_sim.Runner.sims)
   in
   print_string (Ba_util.Ascii_table.render ~columns ~rows)
 
@@ -162,69 +150,43 @@ let run_cmd name algo arch interproc max_steps =
    (seed, procedure) PRNG stream, so scheduling cannot perturb it. *)
 let align_cmd name algo arch seed sweeps max_steps jobs =
   let workload = lookup name in
-  let program, profile, trace =
+  let _program, profile, trace =
     Ba_workloads.Profiled.get_traced ~max_steps workload
   in
-  let n = Ba_ir.Program.n_procs program in
   let decisions =
-    match algo with
-    | Core Ba_core.Align.Original ->
-      Array.init n (fun p ->
-          Ba_layout.Decision.identity (Ba_ir.Program.proc program p))
-    | Core a -> Ba_core.Align.align_program a ~arch profile
-    | Anneal ->
-      Ba_par.Pool.with_pool ?jobs (fun pool ->
-          Array.of_list
-            (Ba_par.Pool.map pool
-               (fun pid ->
-                 Ba_delta.Anneal.align_proc ~seed ~sweeps ~arch profile pid)
-               (List.init n Fun.id)))
+    Ba_par.Pool.with_pool ?jobs (fun pool ->
+        Ba_delta.Algo.decisions ~pool ~seed ~sweeps algo ~arch profile)
   in
   Printf.printf "workload %s: algorithm %s, cost model %s%s\n"
-    workload.Ba_workloads.Spec.name (align_algo_name algo)
+    workload.Ba_workloads.Spec.name (Ba_delta.Algo.name algo)
     (Ba_core.Cost_model.arch_name arch)
     (match algo with
-    | Anneal -> Printf.sprintf " (seed %d, %d sweeps)" seed sweeps
-    | Core _ -> "");
-  let total = ref 0.0 in
-  for p = 0 to n - 1 do
-    let proc = Ba_ir.Program.proc program p in
-    let d = decisions.(p) in
-    let cost =
-      Ba_delta.Model.total
-        (Ba_delta.Model.create ~arch
-           ~visits:(fun b -> Ba_cfg.Profile.visits profile p b)
-           ~cond_counts:(fun b -> Ba_cfg.Profile.cond_counts profile p b)
-           proc d)
-    in
-    total := !total +. cost;
-    let order =
-      String.concat " "
-        (List.map string_of_int (Array.to_list d.Ba_layout.Decision.order))
-    in
-    let forced =
-      let parts = ref [] in
-      Array.iteri
-        (fun b leg ->
-          match leg with
-          | Some l ->
-            parts :=
-              Printf.sprintf "b%d:%s" b (Ba_layout.Decision.leg_name l)
-              :: !parts
-          | None -> ())
-        d.Ba_layout.Decision.neither;
-      if !parts = [] then ""
-      else "  forced " ^ String.concat " " (List.rev !parts)
-    in
-    Printf.printf "proc %d %s: order %s%s  cost %.1f\n" p proc.Ba_ir.Proc.name
-      order forced cost
-  done;
-  Printf.printf "total expected cost: %.1f\n" !total;
-  let spec = Ba_delta.Eval.spec_of_model arch in
-  let ev = Ba_delta.Eval.create ~specs:[| spec |] profile trace decisions in
+    | Ba_delta.Algo.Anneal -> Printf.sprintf " (seed %d, %d sweeps)" seed sweeps
+    | Ba_delta.Algo.Core _ -> "");
+  let l = Ba_delta.Algo.listing ~arch profile trace decisions in
+  List.iter
+    (fun (p : Ba_delta.Algo.proc_row) ->
+      let order =
+        String.concat " "
+          (List.map string_of_int (Array.to_list p.Ba_delta.Algo.order))
+      in
+      let forced =
+        match p.Ba_delta.Algo.forced with
+        | [] -> ""
+        | legs ->
+          "  forced "
+          ^ String.concat " "
+              (List.map
+                 (fun (b, leg) ->
+                   Printf.sprintf "b%d:%s" b (Ba_layout.Decision.leg_name leg))
+                 legs)
+      in
+      Printf.printf "proc %d %s: order %s%s  cost %.1f\n" p.Ba_delta.Algo.pid
+        p.Ba_delta.Algo.proc_name order forced p.Ba_delta.Algo.cost)
+    l.Ba_delta.Algo.procs;
+  Printf.printf "total expected cost: %.1f\n" l.Ba_delta.Algo.total_cost;
   Printf.printf "simulated penalty cycles (%s): %d\n"
-    (Ba_delta.Eval.spec_label spec)
-    (Ba_delta.Eval.cost_arch ev 0 decisions)
+    l.Ba_delta.Algo.penalty_model l.Ba_delta.Algo.penalty_cycles
 
 (* The per-architecture table [simulate] and [trace replay] print. *)
 let print_sims sims =
@@ -263,23 +225,16 @@ let simulate_cmd name algo arch max_steps metrics =
   in
   let out =
     collected (fun () ->
-        let program, profile, trace =
+        let _program, profile, trace =
           Ba_workloads.Profiled.get_traced ~max_steps workload
         in
-        let image =
-          match algo with
-          | Ba_core.Align.Original -> Ba_layout.Image.original ~profile program
-          | _ -> Ba_core.Align.image algo ~arch profile
-        in
-        let archs =
-          Ba_sim.Bep.Static_likely (Ba_predict.Likely_bits.build image profile)
-          :: bep_archs
-        in
-        Ba_sim.Runner.simulate ~max_steps ~trace ~archs image)
+        Ba_report.Harness.run_image ~max_steps ~profile ~trace
+          ~archs:Ba_report.Harness.simulate_archs
+          (Ba_delta.Algo.image algo ~arch profile))
   in
   Printf.printf "workload %s, algorithm %s, cost model %s: %s branch events in %s instructions\n\n"
     workload.Ba_workloads.Spec.name
-    (Ba_core.Align.algo_name algo)
+    (Ba_delta.Algo.name algo)
     (Ba_core.Cost_model.arch_name arch)
     (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.branches)
     (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.insns);
@@ -342,15 +297,24 @@ let trace_replay_cmd name path algo arch =
   end;
   let image =
     match algo with
-    | Ba_core.Align.Original -> Ba_layout.Image.original program
+    | Ba_delta.Algo.Core Ba_core.Align.Original ->
+      (* The layout the trace was recorded from: no profile needed, so no
+         interpreter pass. *)
+      Ba_layout.Image.original program
     | _ ->
       (* Alignment needs the profile; reconstruct it with the one interpreter
          pass the trace was recorded from. *)
       let profile = Ba_exec.Engine.profile_program ~max_steps program in
-      Ba_core.Align.image algo ~arch profile
+      Ba_delta.Algo.image algo ~arch profile
+  in
+  (* No profile, so no LIKELY hints: the other simulate architectures. *)
+  let archs =
+    List.filter_map
+      (function `Arch a -> Some a | `Likely -> None)
+      Ba_report.Harness.simulate_archs
   in
   let out =
-    try Ba_sim.Runner.simulate ~trace ~archs:bep_archs image
+    try Ba_sim.Runner.simulate ~trace ~archs image
     with Failure msg -> bad_trace msg
   in
   Printf.printf
@@ -358,7 +322,7 @@ let trace_replay_cmd name path algo arch =
      %s instructions\n\n"
     (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.steps)
     path name
-    (Ba_core.Align.algo_name algo)
+    (Ba_delta.Algo.name algo)
     (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.branches)
     (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.insns);
   print_sims out.Ba_sim.Runner.sims
@@ -381,7 +345,7 @@ let disasm_cmd name algo arch proc_id max_steps =
     Ba_isa.Codegen.of_image ~fp_fraction (Ba_layout.Image.original ~profile program)
   in
   let aligned =
-    Ba_isa.Codegen.of_image ~fp_fraction (Ba_core.Align.image algo ~arch profile)
+    Ba_isa.Codegen.of_image ~fp_fraction (Ba_delta.Algo.image algo ~arch profile)
   in
   print_string (Ba_isa.Disasm.side_by_side ~original ~aligned proc_id)
 
@@ -498,11 +462,6 @@ let print_report ~command ~verb ~algo ~arch ~strict ~format ?(failed = false)
       !total_infos);
   if !total_errors > 0 || failed || (strict && !total_warnings > 0) then exit 1
 
-let image_for algo arch profile program =
-  match algo with
-  | Ba_core.Align.Original -> Ba_layout.Image.original ~profile program
-  | _ -> Ba_core.Align.image algo ~arch profile
-
 let lint_cmd workload algo arch strict format max_steps jobs =
   let workloads =
     match workload with Some name -> [ lookup name ] | None -> Ba_workloads.Spec.all
@@ -523,7 +482,9 @@ let lint_cmd workload algo arch strict format max_steps jobs =
             let report =
               if Ba_analysis.Run.error_count report > 0 then report
               else begin
-                let image = image_for algo arch profile program in
+                let image =
+                  Ba_delta.Algo.image (Ba_delta.Algo.Core algo) ~arch profile
+                in
                 let conflict = Ba_conflict.Lint.check ~profile image in
                 let audit =
                   List.concat
@@ -635,10 +596,12 @@ let verify_cmd workload algo arch strict no_audit interproc format max_steps job
    switches to the detailed per-structure report. *)
 
 let analyze_algos =
-  [
-    Ba_core.Align.Original; Ba_core.Align.Greedy; Ba_core.Align.Cost;
-    Ba_core.Align.Tryn 15;
-  ]
+  List.map
+    (fun a -> Ba_delta.Algo.Core a)
+    [
+      Ba_core.Align.Original; Ba_core.Align.Greedy; Ba_core.Align.Cost;
+      Ba_core.Align.Tryn 15;
+    ]
 
 let analyze_arches =
   [
@@ -656,7 +619,7 @@ type placement_outcome = {
 
 type analyze_cell = {
   cell_workload : Ba_workloads.Spec.t;
-  cell_algo : Ba_core.Align.algo;
+  cell_algo : Ba_delta.Algo.t;
   cell_arch : Ba_core.Cost_model.arch;
   cell_reports : Ba_conflict.Analyze.report list;
   cell_placement : placement_outcome option;
@@ -664,13 +627,7 @@ type analyze_cell = {
 
 let analyze_eval ~max_steps ~do_place (w, al, ar) =
   let program, profile = Ba_workloads.Profiled.get ~max_steps w in
-  let decisions =
-    match al with
-    | Ba_core.Align.Original ->
-      Array.init (Ba_ir.Program.n_procs program) (fun p ->
-          Ba_layout.Decision.identity (Ba_ir.Program.proc program p))
-    | _ -> Ba_core.Align.align_program al ~arch:ar profile
-  in
+  let decisions = Ba_delta.Algo.decisions al ~arch:ar profile in
   let image = Ba_layout.Image.build ~profile program decisions in
   let cell_reports = Ba_conflict.Analyze.analyze ~profile image in
   let cell_placement =
@@ -683,7 +640,7 @@ let analyze_eval ~max_steps ~do_place (w, al, ar) =
       let bisim, _certs, cert_diags, _audit =
         Ba_verify.Run.verify_image ~audit:false
           ~workload:w.Ba_workloads.Spec.name
-          ~algo:(Ba_core.Align.algo_name al) ~profile
+          ~algo:(Ba_delta.Algo.name al) ~profile
           place.Ba_conflict.Place.image
       in
       let errs, _, _ = Ba_analysis.Diagnostic.count (bisim @ cert_diags) in
@@ -745,7 +702,7 @@ let analyze_cmd workload algo arch do_place format max_steps jobs =
                        Obj
                          ([
                             ("workload", String c.cell_workload.Ba_workloads.Spec.name);
-                            ("algo", String (Ba_core.Align.algo_name c.cell_algo));
+                            ("algo", String (Ba_delta.Algo.name c.cell_algo));
                             ("arch", String (Ba_core.Cost_model.arch_name c.cell_arch));
                             ( "objective",
                               Int (Ba_conflict.Analyze.objective c.cell_reports) );
@@ -773,7 +730,7 @@ let analyze_cmd workload algo arch do_place format max_steps jobs =
     | [ c ] ->
       Printf.printf "workload %s, algorithm %s, cost model %s\n\n"
         c.cell_workload.Ba_workloads.Spec.name
-        (Ba_core.Align.algo_name c.cell_algo)
+        (Ba_delta.Algo.name c.cell_algo)
         (Ba_core.Cost_model.arch_name c.cell_arch);
       print_string (Ba_conflict.Analyze.render c.cell_reports);
       (match c.cell_placement with
@@ -805,7 +762,7 @@ let analyze_cmd workload algo arch do_place format max_steps jobs =
           (fun c ->
             [
               c.cell_workload.Ba_workloads.Spec.name;
-              Ba_core.Align.algo_name c.cell_algo;
+              Ba_delta.Algo.name c.cell_algo;
               Ba_core.Cost_model.arch_name c.cell_arch;
             ]
             @ List.map structure_matrix_cell c.cell_reports
@@ -839,14 +796,14 @@ let analyze_cmd workload algo arch do_place format max_steps jobs =
 
 type bound_cell = {
   b_workload : Ba_workloads.Spec.t;
-  b_algo : Ba_core.Align.algo;
+  b_algo : Ba_delta.Algo.t;
   b_arch : Ba_core.Cost_model.arch;
   b_analysis : Ba_bound.Analyze.t;
 }
 
 let bound_eval ~max_steps (w, al, ar) =
-  let program, profile = Ba_workloads.Profiled.get ~max_steps w in
-  let image = image_for al ar profile program in
+  let _program, profile = Ba_workloads.Profiled.get ~max_steps w in
+  let image = Ba_delta.Algo.image al ~arch:ar profile in
   let sim_arch = Ba_bound.Analyze.arch_of_model ar ~profile image in
   {
     b_workload = w;
@@ -903,7 +860,7 @@ let bound_cmd workload algo arch format max_steps jobs =
                        Obj
                          [
                            ("workload", String c.b_workload.Ba_workloads.Spec.name);
-                           ("algo", String (Ba_core.Align.algo_name c.b_algo));
+                           ("algo", String (Ba_delta.Algo.name c.b_algo));
                            ("arch", String (Ba_core.Cost_model.arch_name c.b_arch));
                            ( "sim_arch",
                              String (Ba_sim.Bep.arch_label a.Ba_bound.Analyze.arch) );
@@ -922,7 +879,7 @@ let bound_cmd workload algo arch format max_steps jobs =
       Printf.printf
         "workload %s, algorithm %s, cost model %s (simulated as %s)\n\n"
         c.b_workload.Ba_workloads.Spec.name
-        (Ba_core.Align.algo_name c.b_algo)
+        (Ba_delta.Algo.name c.b_algo)
         (Ba_core.Cost_model.arch_name c.b_arch)
         (Ba_sim.Bep.arch_label a.Ba_bound.Analyze.arch);
       let columns =
@@ -972,7 +929,7 @@ let bound_cmd workload algo arch format max_steps jobs =
             let a = c.b_analysis in
             [
               c.b_workload.Ba_workloads.Spec.name;
-              Ba_core.Align.algo_name c.b_algo;
+              Ba_delta.Algo.name c.b_algo;
               Ba_core.Cost_model.arch_name c.b_arch;
               string_of_int (List.length a.Ba_bound.Analyze.rows);
               int_cell a.Ba_bound.Analyze.total.Ba_bound.Domain.lo;
@@ -1099,10 +1056,10 @@ let () =
   let align =
     let align_algo_arg =
       let doc =
-        "Alignment algorithm: orig, greedy, cost, tryN (e.g. try15), or \
-         anneal (the seeded annealing search)."
+        "Alignment algorithm: orig, greedy, cost, exttsp, tryN (e.g. try15), \
+         or anneal (the seeded annealing search)."
       in
-      Arg.(value & opt align_algo_conv Anneal & info [ "algo" ] ~doc)
+      Arg.(value & opt algo_conv Ba_delta.Algo.Anneal & info [ "algo" ] ~doc)
     in
     let seed_arg =
       let doc = "PRNG seed for the annealing search." in
@@ -1227,7 +1184,7 @@ let () =
          ~doc:
            "Run the five-stage static checker (IR, profile, decision, linear, \
             image) over the whole alignment pipeline; exits non-zero on any error.")
-      Term.(const lint_cmd $ workload_opt_arg $ algo_arg $ arch_arg $ strict_arg
+      Term.(const lint_cmd $ workload_opt_arg $ core_algo_arg $ arch_arg $ strict_arg
             $ format_arg $ max_steps_arg $ jobs_arg)
   in
   let verify =
@@ -1253,7 +1210,7 @@ let () =
             architecture against an independent recomputation, and audit it \
             for locally improvable decisions; exits non-zero unless every \
             workload verifies.")
-      Term.(const verify_cmd $ workload_opt_arg $ algo_arg $ arch_arg
+      Term.(const verify_cmd $ workload_opt_arg $ core_algo_arg $ arch_arg
             $ strict_arg $ no_audit_arg $ interproc_arg $ format_arg
             $ max_steps_arg $ jobs_arg)
   in

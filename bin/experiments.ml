@@ -2,8 +2,10 @@
    evaluation, plus the ablations called out in DESIGN.md.
 
      experiments table1 | table2 | table3 | table4 | fig4 | all
+     experiments placement | interproc | gap
      experiments ablation-order | ablation-tryn | ablation-penalty
-     experiments calibrate
+     experiments ablation-unroll | ablation-refine | ablation-cross-input
+     experiments ablation-algos | calibrate
 
    All commands accept --max-steps to trade fidelity for speed, and
    --only PROG[,PROG...] to restrict the workload set.  The table/figure
@@ -13,16 +15,27 @@
 
 open Cmdliner
 
-let select only =
-  match only with
-  | [] -> Ba_workloads.Spec.all
-  | names ->
-    List.map
-      (fun n ->
-        match Ba_workloads.Spec.by_name n with
-        | Some w -> w
-        | None -> failwith (Printf.sprintf "unknown workload %S" n))
-      names
+let named = List.map (fun n -> Option.get (Ba_workloads.Spec.by_name n))
+
+(* --only parses the whole list, so an unknown name is a one-line usage
+   error (exit 124) naming just that workload. *)
+let only_conv =
+  let parse s =
+    let names = String.split_on_char ',' s in
+    match List.find_opt (fun n -> Ba_workloads.Spec.by_name n = None) names with
+    | Some bad -> Error (`Msg (Printf.sprintf "unknown workload %S" bad))
+    | None -> Ok (named names)
+  in
+  let print ppf ws =
+    Fmt.string ppf
+      (String.concat "," (List.map (fun (w : Ba_workloads.Spec.t) -> w.name) ws))
+  in
+  Arg.conv (parse, print)
+
+(* The --only workloads, or [defaults] when none were given. *)
+let select ?(defaults = Ba_workloads.Spec.all) = function
+  | [] -> defaults
+  | only -> only
 
 let max_steps_arg =
   let doc = "Execution budget in semantic block visits per run." in
@@ -30,11 +43,7 @@ let max_steps_arg =
 
 let only_arg =
   let doc = "Comma-separated workload names to evaluate (default: all 24)." in
-  Arg.(value & opt (list string) [] & info [ "only" ] ~doc)
-
-let tryn_arg =
-  let doc = "Group size for the TryN algorithm (the paper uses 15)." in
-  Arg.(value & opt int 15 & info [ "tryn" ] ~doc)
+  Arg.(value & opt only_conv [] & info [ "only" ] ~doc)
 
 (* Strict job-count parsing, shared with BA_JOBS: zero, negative and
    garbage values are command-line errors, never silent defaults. *)
@@ -69,13 +78,10 @@ let metrics_arg =
   in
   Arg.(value & opt ~vopt:(Some Ba_obs.Sink.Ascii) (some fmt) None & info [ "metrics" ] ~doc)
 
-let evaluate ~max_steps ~tryn ~only ?jobs () =
-  Ba_report.Harness.evaluate_suite ~max_steps ~tryn ?jobs (select only)
-
 let print_table1 () = print_string (Ba_report.Tables.table1 ())
 
-let run_table which max_steps only tryn jobs =
-  let evals = evaluate ~max_steps ~tryn ~only ?jobs () in
+let run_table which max_steps only jobs =
+  let evals = Ba_report.Harness.evaluate_suite ~max_steps ?jobs (select only) in
   let render =
     match which with
     | `Table2 -> Ba_report.Tables.table2
@@ -85,7 +91,7 @@ let run_table which max_steps only tryn jobs =
   in
   print_string (render evals)
 
-let run_all max_steps only tryn jobs timings metrics =
+let run_all max_steps only jobs timings metrics =
   let registry =
     match metrics with None -> None | Some _ -> Some (Ba_obs.Registry.create ())
   in
@@ -94,7 +100,7 @@ let run_all max_steps only tryn jobs timings metrics =
   in
   let evals, stats =
     collected (fun () ->
-        Ba_report.Harness.evaluate_suite_timed ~max_steps ~tryn ?jobs (select only))
+        Ba_report.Harness.evaluate_suite_timed ~max_steps ?jobs (select only))
   in
   print_endline "== Table 1: branch cost model (cycles) ==";
   print_string (Ba_report.Tables.table1 ());
@@ -130,10 +136,8 @@ let placement_format_arg =
 
 (* The conflict-aware placement table: penalty cycles with and without the
    placement post-pass, across the seven simulated architectures. *)
-let run_placement max_steps only tryn jobs format =
-  let rows =
-    Ba_report.Placement.evaluate_suite ~max_steps ~tryn ?jobs (select only)
-  in
+let run_placement max_steps only jobs format =
+  let rows = Ba_report.Placement.evaluate_suite ~max_steps ?jobs (select only) in
   match format with
   | `Ascii -> print_string (Ba_report.Placement.render rows)
   | `Json ->
@@ -155,8 +159,8 @@ let run_interproc max_steps only jobs format =
 (* The measured optimality-gap table: exact simulated penalty cycles of
    each algorithm's layout against the Optimal-k branch-and-bound winner,
    whose search is pruned by the static Ba_bound lower bounds. *)
-let run_gap max_steps only tryn jobs k format =
-  let rows = Ba_report.Gap.evaluate_suite ~max_steps ~k ~tryn ?jobs (select only) in
+let run_gap max_steps only jobs k format =
+  let rows = Ba_report.Gap.evaluate_suite ~max_steps ~k ?jobs (select only) in
   match format with
   | `Ascii -> print_string (Ba_report.Gap.render rows)
   | `Json -> print_endline (Ba_util.Json.to_string (Ba_report.Gap.to_json rows))
@@ -190,16 +194,24 @@ let calibrate max_steps only =
 
 (* -- ablations ------------------------------------------------------------- *)
 
-(* Ablation A (§6.1): chain ordering strategy, weight-descending vs the
-   Pettis & Hansen BT/FNT precedence, measured on the BT/FNT architecture. *)
-let ablation_order max_steps only =
-  let workloads =
-    match only with [] -> select [ "compress"; "eqntott"; "espresso"; "gcc"; "li"; "sc" ]
-    | names -> select names
-  in
+(* Ablations A, B, C, E and G share one shape: per workload, record the
+   profile and trace once, then score the original layout and each
+   variant's image on one architecture, as relative CPI against the
+   original's instruction count. *)
+type ablation = {
+  title : string;
+  defaults : string list;  (* workloads when --only is not given *)
+  arch : [ `Arch of Ba_sim.Bep.arch | `Likely ];
+  orig_column : bool;
+  variants : (string * (Ba_cfg.Profile.t -> Ba_layout.Image.t)) list;
+}
+
+let run_ablation a max_steps only =
+  let open Ba_util.Ascii_table in
   let columns =
-    Ba_util.Ascii_table.
-      [ column ~align:Left "workload"; column "Orig"; column "weight-desc"; column "btfnt-prec" ]
+    column ~align:Left "workload"
+    :: (if a.orig_column then [ column "Orig" ] else [])
+    @ List.map (fun (label, _) -> column label) a.variants
   in
   let rows =
     List.map
@@ -208,200 +220,129 @@ let ablation_order max_steps only =
         let profile, trace =
           Ba_trace.Record.profile_and_record ~max_steps program
         in
-        let orig_out =
-          Ba_sim.Runner.simulate ~max_steps ~trace ~archs:[ Ba_sim.Bep.Static_btfnt ]
-            (Ba_layout.Image.original ~profile program)
+        let run =
+          Ba_report.Harness.run_image ~max_steps ~profile ~trace
+            ~archs:[ a.arch ]
         in
-        let orig_insns = orig_out.Ba_sim.Runner.result.Ba_exec.Engine.insns in
-        let run strategy =
-          let image =
-            Ba_core.Align.image (Ba_core.Align.Tryn 15) ~strategy
-              ~arch:Ba_core.Cost_model.Btfnt profile
-          in
-          let out =
-            Ba_sim.Runner.simulate ~max_steps ~trace
-              ~archs:[ Ba_sim.Bep.Static_btfnt ] image
-          in
-          let _, sim = out.Ba_sim.Runner.sims.(0) in
-          Ba_sim.Bep.relative_cpi sim ~insns:out.Ba_sim.Runner.result.Ba_exec.Engine.insns
-            ~orig_insns
-        in
-        let _, orig_sim = orig_out.Ba_sim.Runner.sims.(0) in
-        [
-          w.name;
-          Ba_util.Ascii_table.float_cell
-            (Ba_sim.Bep.relative_cpi orig_sim
-               ~insns:orig_out.Ba_sim.Runner.result.Ba_exec.Engine.insns ~orig_insns);
-          Ba_util.Ascii_table.float_cell (run Ba_layout.Chain_order.Weight_desc);
-          Ba_util.Ascii_table.float_cell (run Ba_layout.Chain_order.Btfnt_precedence);
-        ])
-      workloads
+        let orig = run (Ba_layout.Image.original ~profile program) in
+        let orig_insns = orig.Ba_sim.Runner.result.Ba_exec.Engine.insns in
+        let cell out = float_cell (Ba_report.Harness.cpi out ~orig_insns 0) in
+        w.name
+        :: (if a.orig_column then [ cell orig ] else [])
+        @ List.map (fun (_, image) -> cell (run (image profile))) a.variants)
+      (select ~defaults:(named a.defaults) only)
   in
-  print_endline "Ablation A: chain ordering strategy (BT/FNT relative CPI, Try15)";
-  print_string (Ba_util.Ascii_table.render ~columns ~rows)
+  print_endline a.title;
+  print_string (render ~columns ~rows)
+
+let try15 = Ba_core.Align.Tryn 15
+
+(* A variant's image: [algo] aligned under cost model [arch]. *)
+let aligned ?strategy ?table ?refine_rounds algo arch profile =
+  Ba_core.Align.image algo ?strategy ?table ?refine_rounds ~arch profile
+
+(* Ablation A (§6.1): chain ordering strategy, weight-descending vs the
+   Pettis & Hansen BT/FNT precedence, measured on the BT/FNT architecture. *)
+let ablation_order =
+  run_ablation
+    {
+      title = "Ablation A: chain ordering strategy (BT/FNT relative CPI, Try15)";
+      defaults = [ "compress"; "eqntott"; "espresso"; "gcc"; "li"; "sc" ];
+      arch = `Arch Ba_sim.Bep.Static_btfnt;
+      orig_column = true;
+      variants =
+        List.map
+          (fun (label, strategy) ->
+            (label, aligned ~strategy try15 Ba_core.Cost_model.Btfnt))
+          [
+            ("weight-desc", Ba_layout.Chain_order.Weight_desc);
+            ("btfnt-prec", Ba_layout.Chain_order.Btfnt_precedence);
+          ];
+    }
 
 (* Ablation B (§4): TryN group size.  Joint placement of a whole loop's
    edges (the paper's Figure 3) matters on architectures that predict taken
    branches, so this ablation measures on LIKELY over the loop-heavy
    workloads. *)
-let ablation_tryn max_steps only =
-  let workloads =
-    match only with
-    | [] -> select [ "wave5"; "hydro2d"; "compress"; "tomcatv"; "espresso"; "gcc" ]
-    | names -> select names
-  in
-  let ns = [ 1; 5; 10; 15 ] in
-  let columns =
-    Ba_util.Ascii_table.column ~align:Ba_util.Ascii_table.Left "workload"
-    :: List.map (fun n -> Ba_util.Ascii_table.column (Printf.sprintf "Try%d" n)) ns
-  in
-  let rows =
-    List.map
-      (fun (w : Ba_workloads.Spec.t) ->
-        let program = w.build () in
-        let profile, trace =
-          Ba_trace.Record.profile_and_record ~max_steps program
-        in
-        let orig_insns =
-          (Ba_trace.Replay.run
-             (Ba_trace.Flat.of_image (Ba_layout.Image.original ~profile program))
-             trace)
-            .Ba_exec.Engine.insns
-        in
-        w.name
-        :: List.map
-             (fun n ->
-               let image =
-                 Ba_core.Align.image (Ba_core.Align.Tryn n)
-                   ~arch:Ba_core.Cost_model.Likely profile
-               in
-               let out =
-                 Ba_sim.Runner.simulate ~max_steps ~trace
-                   ~archs:
-                     [ Ba_sim.Bep.Static_likely
-                         (Ba_predict.Likely_bits.build image profile) ]
-                   image
-               in
-               let _, sim = out.Ba_sim.Runner.sims.(0) in
-               Ba_util.Ascii_table.float_cell
-                 (Ba_sim.Bep.relative_cpi sim
-                    ~insns:out.Ba_sim.Runner.result.Ba_exec.Engine.insns ~orig_insns))
-             ns)
-      workloads
-  in
-  print_endline "Ablation B: TryN group size (LIKELY relative CPI)";
-  print_string (Ba_util.Ascii_table.render ~columns ~rows)
+let ablation_tryn =
+  run_ablation
+    {
+      title = "Ablation B: TryN group size (LIKELY relative CPI)";
+      defaults = [ "wave5"; "hydro2d"; "compress"; "tomcatv"; "espresso"; "gcc" ];
+      arch = `Likely;
+      orig_column = false;
+      variants =
+        List.map
+          (fun n ->
+            ( Printf.sprintf "Try%d" n,
+              aligned (Ba_core.Align.Tryn n) Ba_core.Cost_model.Likely ))
+          [ 1; 5; 10; 15 ];
+    }
 
 (* Ablation C: cost-model sensitivity — sweep the mispredict penalty used by
    the optimizer and measure on the unchanged simulator. *)
-let ablation_penalty max_steps only =
-  let workloads =
-    match only with [] -> select [ "espresso" ] | names -> select names
-  in
-  let penalties = [ 1.0; 2.0; 4.0; 8.0; 16.0 ] in
-  let columns =
-    Ba_util.Ascii_table.column ~align:Ba_util.Ascii_table.Left "workload"
-    :: List.map
-         (fun p -> Ba_util.Ascii_table.column (Printf.sprintf "mp=%.0f" p))
-         penalties
-  in
-  let rows =
-    List.map
-      (fun (w : Ba_workloads.Spec.t) ->
-        let program = w.build () in
-        let profile, trace =
-          Ba_trace.Record.profile_and_record ~max_steps program
-        in
-        let orig_insns =
-          (Ba_trace.Replay.run
-             (Ba_trace.Flat.of_image (Ba_layout.Image.original ~profile program))
-             trace)
-            .Ba_exec.Engine.insns
-        in
-        w.name
-        :: List.map
-             (fun mispredict ->
-               let table =
-                 { Ba_core.Cost_model.default_table with mispredict }
-               in
-               let image =
-                 Ba_core.Align.image (Ba_core.Align.Tryn 15) ~table
-                   ~arch:Ba_core.Cost_model.Fallthrough profile
-               in
-               let out =
-                 Ba_sim.Runner.simulate ~max_steps ~trace
-                   ~archs:[ Ba_sim.Bep.Static_fallthrough ] image
-               in
-               let _, sim = out.Ba_sim.Runner.sims.(0) in
-               Ba_util.Ascii_table.float_cell
-                 (Ba_sim.Bep.relative_cpi sim
-                    ~insns:out.Ba_sim.Runner.result.Ba_exec.Engine.insns ~orig_insns))
-             penalties)
-      workloads
-  in
-  print_endline
-    "Ablation C: optimizer mispredict-penalty sweep (FALLTHROUGH relative CPI, Try15)";
-  print_string (Ba_util.Ascii_table.render ~columns ~rows)
+let ablation_penalty =
+  run_ablation
+    {
+      title =
+        "Ablation C: optimizer mispredict-penalty sweep (FALLTHROUGH relative \
+         CPI, Try15)";
+      defaults = [ "espresso" ];
+      arch = `Arch Ba_sim.Bep.Static_fallthrough;
+      orig_column = false;
+      variants =
+        List.map
+          (fun mispredict ->
+            ( Printf.sprintf "mp=%.0f" mispredict,
+              aligned
+                ~table:{ Ba_core.Cost_model.default_table with mispredict }
+                try15 Ba_core.Cost_model.Fallthrough ))
+          [ 1.0; 2.0; 4.0; 8.0; 16.0 ];
+    }
 
 (* Ablation E: iterative direction refinement for BT/FNT -- rounds after
    the first re-run Try15 with branch directions read off the previous
    layout instead of DFS guesses. *)
-let ablation_refine max_steps only =
-  let workloads =
-    match only with
-    | [] -> select [ "compress"; "li"; "eqntott"; "wave5"; "hydro2d"; "gcc" ]
-    | names -> select names
-  in
-  let rounds = [ 1; 2; 3 ] in
-  let columns =
-    Ba_util.Ascii_table.column ~align:Ba_util.Ascii_table.Left "workload"
-    :: Ba_util.Ascii_table.column "Orig"
-    :: List.map
-         (fun r -> Ba_util.Ascii_table.column (Printf.sprintf "rounds=%d" r))
-         rounds
-  in
-  let rows =
-    List.map
-      (fun (w : Ba_workloads.Spec.t) ->
-        let program = w.build () in
-        let profile, trace =
-          Ba_trace.Record.profile_and_record ~max_steps program
-        in
-        let orig_image = Ba_layout.Image.original ~profile program in
-        let orig_out =
-          Ba_sim.Runner.simulate ~max_steps ~trace
-            ~archs:[ Ba_sim.Bep.Static_btfnt ] orig_image
-        in
-        let orig_insns = orig_out.Ba_sim.Runner.result.Ba_exec.Engine.insns in
-        let cpi_of out =
-          let _, sim = out.Ba_sim.Runner.sims.(0) in
-          Ba_sim.Bep.relative_cpi sim
-            ~insns:out.Ba_sim.Runner.result.Ba_exec.Engine.insns ~orig_insns
-        in
-        (w.name :: [ Ba_util.Ascii_table.float_cell (cpi_of orig_out) ])
-        @ List.map
-            (fun refine_rounds ->
-              let image =
-                Ba_core.Align.image (Ba_core.Align.Tryn 15)
-                  ~strategy:Ba_layout.Chain_order.Btfnt_precedence
-                  ~arch:Ba_core.Cost_model.Btfnt ~refine_rounds profile
-              in
-              Ba_util.Ascii_table.float_cell
-                (cpi_of
-                   (Ba_sim.Runner.simulate ~max_steps ~trace
-                      ~archs:[ Ba_sim.Bep.Static_btfnt ] image)))
-            rounds)
-      workloads
-  in
-  print_endline "Ablation E: direction-refinement rounds (BT/FNT relative CPI, Try15)";
-  print_string (Ba_util.Ascii_table.render ~columns ~rows)
+let ablation_refine =
+  run_ablation
+    {
+      title = "Ablation E: direction-refinement rounds (BT/FNT relative CPI, Try15)";
+      defaults = [ "compress"; "li"; "eqntott"; "wave5"; "hydro2d"; "gcc" ];
+      arch = `Arch Ba_sim.Bep.Static_btfnt;
+      orig_column = true;
+      variants =
+        List.map
+          (fun refine_rounds ->
+            ( Printf.sprintf "rounds=%d" refine_rounds,
+              aligned ~strategy:Ba_layout.Chain_order.Btfnt_precedence
+                ~refine_rounds try15 Ba_core.Cost_model.Btfnt ))
+          [ 1; 2; 3 ];
+    }
+
+(* Ablation G: all four algorithms side by side on one architecture --
+   the paper's qualitative claim that the cost-model algorithms beat Greedy
+   (§4), including the cheap Cost heuristic it describes but does not
+   tabulate. *)
+let ablation_algos =
+  run_ablation
+    {
+      title = "Ablation G: algorithm comparison (FALLTHROUGH relative CPI)";
+      defaults = [ "alvinn"; "hydro2d"; "espresso"; "gcc"; "sc"; "groff" ];
+      arch = `Arch Ba_sim.Bep.Static_fallthrough;
+      orig_column = true;
+      variants =
+        List.map
+          (fun algo ->
+            ( Ba_core.Align.algo_name algo,
+              aligned algo Ba_core.Cost_model.Fallthrough ))
+          [ Ba_core.Align.Greedy; Ba_core.Align.Cost; Ba_core.Align.Tryn 5; try15 ];
+    }
+
+let fallthrough = [ `Arch Ba_sim.Bep.Static_fallthrough ]
 
 (* Ablation D (§3): the ALVINN suggestion — duplicate single-block loop
    bodies so the copies need no branch at all; combined with alignment. *)
 let ablation_unroll max_steps only =
-  let workloads =
-    match only with [] -> select [ "alvinn"; "ear" ] | names -> select names
-  in
   let factors = [ 2; 4 ] in
   let columns =
     Ba_util.Ascii_table.column ~align:Ba_util.Ascii_table.Left "workload"
@@ -421,49 +362,34 @@ let ablation_unroll max_steps only =
         let base_profile, base_trace =
           Ba_trace.Record.profile_and_record ~max_steps program
         in
-        let orig_out =
-          Ba_sim.Runner.simulate ~max_steps ~trace:base_trace
-            ~archs:[ Ba_sim.Bep.Static_fallthrough ]
+        let orig =
+          Ba_report.Harness.run_image ~max_steps ~profile:base_profile
+            ~trace:base_trace ~archs:fallthrough
             (Ba_layout.Image.original program)
         in
-        let orig_insns = orig_out.Ba_sim.Runner.result.Ba_exec.Engine.insns in
-        let ft_cpi_traced ~profile ~trace =
-          let image =
-            Ba_core.Align.image (Ba_core.Align.Tryn 15)
-              ~arch:Ba_core.Cost_model.Fallthrough profile
-          in
-          let out =
-            Ba_sim.Runner.simulate ~max_steps ~trace
-              ~archs:[ Ba_sim.Bep.Static_fallthrough ] image
-          in
-          let _, sim = out.Ba_sim.Runner.sims.(0) in
-          Ba_sim.Bep.relative_cpi sim ~insns:out.Ba_sim.Runner.result.Ba_exec.Engine.insns
-            ~orig_insns
+        let orig_insns = orig.Ba_sim.Runner.result.Ba_exec.Engine.insns in
+        let try15_cpi (profile, trace) =
+          Ba_report.Harness.cpi ~orig_insns
+            (Ba_report.Harness.run_image ~max_steps ~profile ~trace
+               ~archs:fallthrough
+               (aligned try15 Ba_core.Cost_model.Fallthrough profile))
+            0
         in
-        let ft_cpi program =
-          let profile, trace =
-            Ba_trace.Record.profile_and_record ~max_steps program
-          in
-          ft_cpi_traced ~profile ~trace
-        in
-        ignore ft_cpi;
-        let _, orig_sim = orig_out.Ba_sim.Runner.sims.(0) in
         let sites = List.length (Ba_core.Unroll.unrollable_self_loops program ~factor:2) in
         [
           w.name;
           string_of_int sites;
-          Ba_util.Ascii_table.float_cell
-            (Ba_sim.Bep.relative_cpi orig_sim
-               ~insns:orig_out.Ba_sim.Runner.result.Ba_exec.Engine.insns ~orig_insns);
-          Ba_util.Ascii_table.float_cell
-            (ft_cpi_traced ~profile:base_profile ~trace:base_trace);
+          Ba_util.Ascii_table.float_cell (Ba_report.Harness.cpi orig ~orig_insns 0);
+          Ba_util.Ascii_table.float_cell (try15_cpi (base_profile, base_trace));
         ]
         @ List.map
             (fun factor ->
               Ba_util.Ascii_table.float_cell
-                (ft_cpi (Ba_core.Unroll.unroll_self_loops ~factor program)))
+                (try15_cpi
+                   (Ba_trace.Record.profile_and_record ~max_steps
+                      (Ba_core.Unroll.unroll_self_loops ~factor program))))
             factors)
-      workloads
+      (select ~defaults:(named [ "alvinn"; "ear" ]) only)
   in
   print_endline
     "Ablation D: self-loop unrolling + Try15 (FALLTHROUGH relative CPI vs the\n\
@@ -474,11 +400,6 @@ let ablation_unroll max_steps only =
    input (seed), evaluate on another.  The paper profiles and evaluates on
    the same input; this quantifies how much that flatters the results. *)
 let ablation_cross_input max_steps only =
-  let workloads =
-    match only with
-    | [] -> select [ "espresso"; "gcc"; "li"; "sc"; "compress"; "spice" ]
-    | names -> select names
-  in
   let columns =
     Ba_util.Ascii_table.
       [
@@ -497,26 +418,21 @@ let ablation_cross_input max_steps only =
         let alt_profile, alt_trace =
           Ba_trace.Record.profile_and_record ~max_steps alt
         in
-        let eval_cpi image_program decisions =
-          let image = Ba_layout.Image.build image_program decisions in
-          let out =
-            Ba_sim.Runner.simulate ~max_steps ~trace:alt_trace
-              ~archs:[ Ba_sim.Bep.Static_fallthrough ] image
-          in
-          let _, sim = out.Ba_sim.Runner.sims.(0) in
-          (out.Ba_sim.Runner.result.Ba_exec.Engine.insns, Ba_sim.Bep.bep sim)
+        let run image =
+          Ba_report.Harness.run_image ~max_steps ~profile:alt_profile
+            ~trace:alt_trace ~archs:fallthrough image
         in
-        let orig_insns, orig_bep =
-          eval_cpi alt
-            (Array.init (Ba_ir.Program.n_procs alt) (fun p ->
-                 Ba_layout.Decision.identity (Ba_ir.Program.proc alt p)))
-        in
-        let cpi_of (insns, bep) =
-          float_of_int (insns + bep) /. float_of_int orig_insns
+        let orig = run (Ba_layout.Image.original alt) in
+        let orig_insns = orig.Ba_sim.Runner.result.Ba_exec.Engine.insns in
+        let cell out =
+          Ba_util.Ascii_table.float_cell (Ba_report.Harness.cpi out ~orig_insns 0)
         in
         let aligned_with profile =
-          Ba_core.Align.align_program (Ba_core.Align.Tryn 15)
-            ~arch:Ba_core.Cost_model.Fallthrough profile
+          cell
+            (run
+               (Ba_layout.Image.build alt
+                  (Ba_core.Align.align_program try15
+                     ~arch:Ba_core.Cost_model.Fallthrough profile)))
         in
         let profile_of prog = Ba_exec.Engine.profile_program ~max_steps prog in
         let same = aligned_with alt_profile in
@@ -531,80 +447,21 @@ let ablation_cross_input max_steps only =
           in
           aligned_with (Ba_cfg.Profile.merge [ p1; p2 ])
         in
-        [
-          w.name;
-          Ba_util.Ascii_table.float_cell (cpi_of (orig_insns, orig_bep));
-          Ba_util.Ascii_table.float_cell (cpi_of (eval_cpi alt same));
-          Ba_util.Ascii_table.float_cell (cpi_of (eval_cpi alt cross));
-          Ba_util.Ascii_table.float_cell (cpi_of (eval_cpi alt merged));
-        ])
-      workloads
+        [ w.name; cell orig; same; cross; merged ])
+      (select
+         ~defaults:(named [ "espresso"; "gcc"; "li"; "sc"; "compress"; "spice" ])
+         only)
   in
   print_endline
     "Ablation F: profile robustness (FALLTHROUGH relative CPI on a held-out\n\
      input; aligned with the same input, a different one, or two merged)";
   print_string (Ba_util.Ascii_table.render ~columns ~rows)
 
-(* Ablation G: all four algorithms side by side on one architecture --
-   the paper's qualitative claim that the cost-model algorithms beat Greedy
-   (Â§4), including the cheap Cost heuristic it describes but does not
-   tabulate. *)
-let ablation_algos max_steps only =
-  let workloads =
-    match only with
-    | [] -> select [ "alvinn"; "hydro2d"; "espresso"; "gcc"; "sc"; "groff" ]
-    | names -> select names
-  in
-  let algos =
-    [ Ba_core.Align.Greedy; Ba_core.Align.Cost; Ba_core.Align.Tryn 5;
-      Ba_core.Align.Tryn 15 ]
-  in
-  let columns =
-    Ba_util.Ascii_table.column ~align:Ba_util.Ascii_table.Left "workload"
-    :: Ba_util.Ascii_table.column "Orig"
-    :: List.map
-         (fun a -> Ba_util.Ascii_table.column (Ba_core.Align.algo_name a))
-         algos
-  in
-  let rows =
-    List.map
-      (fun (w : Ba_workloads.Spec.t) ->
-        let program = w.build () in
-        let profile, trace =
-          Ba_trace.Record.profile_and_record ~max_steps program
-        in
-        let orig_image = Ba_layout.Image.original ~profile program in
-        let orig_out =
-          Ba_sim.Runner.simulate ~max_steps ~trace
-            ~archs:[ Ba_sim.Bep.Static_fallthrough ] orig_image
-        in
-        let orig_insns = orig_out.Ba_sim.Runner.result.Ba_exec.Engine.insns in
-        let cpi_of out =
-          let _, sim = out.Ba_sim.Runner.sims.(0) in
-          Ba_sim.Bep.relative_cpi sim
-            ~insns:out.Ba_sim.Runner.result.Ba_exec.Engine.insns ~orig_insns
-        in
-        (w.name :: [ Ba_util.Ascii_table.float_cell (cpi_of orig_out) ])
-        @ List.map
-            (fun algo ->
-              let image =
-                Ba_core.Align.image algo ~arch:Ba_core.Cost_model.Fallthrough profile
-              in
-              Ba_util.Ascii_table.float_cell
-                (cpi_of
-                   (Ba_sim.Runner.simulate ~max_steps ~trace
-                      ~archs:[ Ba_sim.Bep.Static_fallthrough ] image)))
-            algos)
-      workloads
-  in
-  print_endline "Ablation G: algorithm comparison (FALLTHROUGH relative CPI)";
-  print_string (Ba_util.Ascii_table.render ~columns ~rows)
-
 (* -- command wiring ----------------------------------------------------------- *)
 
 let cmd name doc f =
   Cmd.v (Cmd.info name ~doc)
-    Term.(const f $ max_steps_arg $ only_arg $ tryn_arg $ jobs_arg)
+    Term.(const f $ max_steps_arg $ only_arg $ jobs_arg)
 
 let cmd2 name doc f =
   Cmd.v (Cmd.info name ~doc) Term.(const f $ max_steps_arg $ only_arg)
@@ -624,21 +481,21 @@ let () =
       [
         table1_cmd;
         cmd "table2" "Reproduce Table 2 (traced program attributes)."
-          (fun ms only tryn jobs -> run_table `Table2 ms only tryn jobs);
+          (run_table `Table2);
         cmd "table3" "Reproduce Table 3 (static architectures)."
-          (fun ms only tryn jobs -> run_table `Table3 ms only tryn jobs);
+          (run_table `Table3);
         cmd "table4" "Reproduce Table 4 (dynamic architectures)."
-          (fun ms only tryn jobs -> run_table `Table4 ms only tryn jobs);
+          (run_table `Table4);
         cmd "fig4" "Reproduce Figure 4 (Alpha 21064 execution time)."
-          (fun ms only tryn jobs -> run_table `Fig4 ms only tryn jobs);
+          (run_table `Fig4);
         Cmd.v
           (Cmd.info "placement"
              ~doc:
                "Penalty cycles with and without the conflict-aware placement \
                 post-pass (Try15/BTB baseline, seven architectures).")
           Term.(
-            const run_placement $ max_steps_arg $ only_arg $ tryn_arg
-            $ jobs_arg $ placement_format_arg);
+            const run_placement $ max_steps_arg $ only_arg $ jobs_arg
+            $ placement_format_arg);
         Cmd.v
           (Cmd.info "interproc"
              ~doc:
@@ -659,7 +516,7 @@ let () =
                 branch-and-bound winner (pruned by static lower bounds), \
                 per workload and cost-model architecture.")
           Term.(
-            const run_gap $ max_steps_arg $ only_arg $ tryn_arg $ jobs_arg
+            const run_gap $ max_steps_arg $ only_arg $ jobs_arg
             $ Arg.(
                 value & opt int 4
                 & info [ "k" ]
@@ -668,7 +525,7 @@ let () =
         Cmd.v
           (Cmd.info "all" ~doc:"Reproduce every table and figure.")
           Term.(
-            const run_all $ max_steps_arg $ only_arg $ tryn_arg $ jobs_arg
+            const run_all $ max_steps_arg $ only_arg $ jobs_arg
             $ timings_arg $ metrics_arg);
         cmd2 "calibrate" "Print run lengths of each workload." calibrate;
         cmd2 "ablation-order" "Chain-ordering ablation (§6.1)." ablation_order;

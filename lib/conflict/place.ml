@@ -56,6 +56,9 @@ let swap_pass ~suite ~arch ~build ~profile program decisions =
   done;
   (!current_obj, !swaps)
 
+(* The largest pad tried before each procedure, in instruction slots. *)
+let max_pad = 32
+
 (* Greedy pad sweep: procedures in order, each pad chosen to minimise the
    objective given the pads already fixed; ties keep the smaller pad, so a
    layout with nothing to gain keeps all-zero pads.
@@ -66,7 +69,7 @@ let swap_pass ~suite ~arch ~build ~profile program decisions =
    hot region, the cold section, and everything placed after either — so
    the interproc path rebuilds the image per candidate (programs are small
    enough that the exact sweep stays cheap). *)
-let pad_sweep ~suite ~max_pad ~interproc ~build ~profile program decisions =
+let pad_sweep ~suite ~interproc ~build ~profile program decisions =
   let n = Program.n_procs program in
   let pads = Array.make n 0 in
   let objective =
@@ -108,8 +111,8 @@ let pad_sweep ~suite ~max_pad ~interproc ~build ~profile program decisions =
   pads
 
 let improve ?(suite = Structure.placement_suite)
-    ?(arch = Ba_core.Cost_model.Btfnt) ?(max_pad = 32)
-    ?(interproc = false) ~profile program decisions =
+    ?(arch = Ba_core.Cost_model.Btfnt) ?(interproc = false) ~profile program
+    decisions =
   Ba_obs.Span.with_ "place" @@ fun () ->
   if Array.length decisions <> Program.n_procs program then
     invalid_arg "Place.improve: one decision per procedure required";
@@ -121,7 +124,7 @@ let improve ?(suite = Structure.placement_suite)
   in
   let before = objective_of ~suite ~profile (build ?pads:None decisions) in
   let _, swaps = swap_pass ~suite ~arch ~build ~profile program decisions in
-  let pads = pad_sweep ~suite ~max_pad ~interproc ~build ~profile program decisions in
+  let pads = pad_sweep ~suite ~interproc ~build ~profile program decisions in
   let image = build ~pads decisions in
   let after = objective_of ~suite ~profile image in
   { image; decisions; pads; before; after; swaps }

@@ -30,7 +30,6 @@ type result = {
 val improve :
   ?suite:Structure.t list ->
   ?arch:Ba_core.Cost_model.arch ->
-  ?max_pad:int ->
   ?interproc:bool ->
   profile:Ba_cfg.Profile.t ->
   Ba_ir.Program.t ->
@@ -38,7 +37,8 @@ val improve :
   result
 (** [improve ~profile program decisions] runs both mechanisms under the
     ["place"] span.  [suite] defaults to {!Structure.placement_suite},
-    [arch] (the swap guard's cost model) to [Btfnt], [max_pad] to 32.
+    [arch] (the swap guard's cost model) to [Btfnt]; pads run from 0 to
+    32 slots per procedure.
     The result never has a larger objective than the input: every step
     requires strict improvement, and zero pads with zero swaps reproduce
     the input image.

@@ -21,13 +21,13 @@ let algo_of_name s =
     | Some _ | None -> Error "tryN: N must be a positive integer")
   | _ -> Error (Printf.sprintf "unknown algorithm %S" s)
 
-let run_algo algo ~arch ?table ?min_weight ctx =
+let run_algo algo ~arch ?table ctx =
   match algo with
   | Original -> invalid_arg "Align.run_algo: Original has no chains"
   | ExtTsp -> invalid_arg "Align.run_algo: ExtTsp merges its own chains"
   | Greedy -> Greedy.build_chains ctx
   | Cost -> Cost_align.build_chains ~arch ?table ctx
-  | Tryn n -> Tryn.build_chains ~arch ?table ~n ?min_weight ctx
+  | Tryn n -> Tryn.build_chains ~arch ?table ~n ctx
 
 (* Exact model cost of one decision: lower it and price the result — the
    same objective Layout_cost scores finished layouts with. *)
@@ -42,7 +42,7 @@ let exact_cost ~arch ?table profile pid decision =
 let m_model_guard =
   Ba_obs.Counter.make ~unit_:"procs" "core.align.model_guard"
 
-let align_proc algo ?strategy ?(arch = Cost_model.Btfnt) ?table ?min_weight
+let align_proc algo ?strategy ?(arch = Cost_model.Btfnt) ?table
     ?(refine_rounds = 1) profile pid =
   Ba_obs.Span.with_ "align" @@ fun () ->
   let program = Ba_cfg.Profile.program profile in
@@ -59,7 +59,7 @@ let align_proc algo ?strategy ?(arch = Cost_model.Btfnt) ?table ?min_weight
     if refine_rounds < 1 then invalid_arg "Align.align_proc: refine_rounds must be >= 1";
     let base_ctx = Ctx.of_profile profile pid in
     let one_round ctx =
-      Ctx.to_decision ?strategy ctx (run_algo algo ~arch ?table ?min_weight ctx)
+      Ctx.to_decision ?strategy ctx (run_algo algo ~arch ?table ctx)
     in
     (* Round one guesses taken-branch directions from DFS back edges; each
        further round re-aligns knowing the previous layout's actual block
@@ -93,14 +93,14 @@ let align_proc algo ?strategy ?(arch = Cost_model.Btfnt) ?table ?min_weight
       end
       else decision)
 
-let align_program algo ?strategy ?arch ?table ?min_weight ?refine_rounds profile =
+let align_program algo ?strategy ?arch ?table ?refine_rounds profile =
   let program = Ba_cfg.Profile.program profile in
   Array.init (Ba_ir.Program.n_procs program) (fun pid ->
-      align_proc algo ?strategy ?arch ?table ?min_weight ?refine_rounds profile pid)
+      align_proc algo ?strategy ?arch ?table ?refine_rounds profile pid)
 
-let image algo ?strategy ?arch ?table ?min_weight ?refine_rounds profile =
+let image algo ?strategy ?arch ?table ?refine_rounds profile =
   let program = Ba_cfg.Profile.program profile in
   let decisions =
-    align_program algo ?strategy ?arch ?table ?min_weight ?refine_rounds profile
+    align_program algo ?strategy ?arch ?table ?refine_rounds profile
   in
   Ba_layout.Image.build ~profile program decisions

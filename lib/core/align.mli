@@ -38,7 +38,6 @@ val align_proc :
   ?strategy:Ba_layout.Chain_order.strategy ->
   ?arch:Cost_model.arch ->
   ?table:Cost_model.table ->
-  ?min_weight:int ->
   ?refine_rounds:int ->
   Ba_cfg.Profile.t ->
   Ba_ir.Term.proc_id ->
@@ -49,7 +48,6 @@ val align_program :
   ?strategy:Ba_layout.Chain_order.strategy ->
   ?arch:Cost_model.arch ->
   ?table:Cost_model.table ->
-  ?min_weight:int ->
   ?refine_rounds:int ->
   Ba_cfg.Profile.t ->
   Ba_layout.Decision.t array
@@ -59,7 +57,6 @@ val image :
   ?strategy:Ba_layout.Chain_order.strategy ->
   ?arch:Cost_model.arch ->
   ?table:Cost_model.table ->
-  ?min_weight:int ->
   ?refine_rounds:int ->
   Ba_cfg.Profile.t ->
   Ba_layout.Image.t

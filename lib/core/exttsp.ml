@@ -1,15 +1,13 @@
 (* Extended-TSP chain merging.  See the interface for the objective; the
    evaluator's incrementality argument is spelled out inline below. *)
 
-type params = {
-  fall_weight : float;
-  jump_weight : float;
-  fwd_limit : int;
-  bwd_limit : int;
-}
-
-let default_params =
-  { fall_weight = 1.0; jump_weight = 0.1; fwd_limit = 1024; bwd_limit = 640 }
+(* The published constants: credit per fall-through traversal, peak
+   credit for a zero-distance jump, and the forward and backward windows
+   (instruction slots) at or beyond which a jump scores 0. *)
+let fall_weight = 1.0
+let jump_weight = 0.1
+let fwd_limit = 1024
+let bwd_limit = 640
 
 type edge = {
   src : Ba_ir.Term.block_id;
@@ -64,25 +62,25 @@ let edges_of profile pid =
 (* Contribution of one edge traversal set given the branch-site end of the
    source block and the start of the destination block, in instruction
    slots.  Zero-distance forward = fall-through. *)
-let contribution params ~src_end ~dst_start weight =
+let contribution ~src_end ~dst_start weight =
   if weight <= 0.0 then 0.0
-  else if dst_start = src_end then params.fall_weight *. weight
+  else if dst_start = src_end then fall_weight *. weight
   else if dst_start > src_end then begin
     let d = dst_start - src_end in
-    if d < params.fwd_limit then
-      params.jump_weight *. weight
-      *. (1.0 -. (float_of_int d /. float_of_int params.fwd_limit))
+    if d < fwd_limit then
+      jump_weight *. weight
+      *. (1.0 -. (float_of_int d /. float_of_int fwd_limit))
     else 0.0
   end
   else begin
     let d = src_end - dst_start in
-    if d < params.bwd_limit then
-      params.jump_weight *. weight
-      *. (1.0 -. (float_of_int d /. float_of_int params.bwd_limit))
+    if d < bwd_limit then
+      jump_weight *. weight
+      *. (1.0 -. (float_of_int d /. float_of_int bwd_limit))
     else 0.0
   end
 
-let score_order ?(params = default_params) ~sizes ~edges order =
+let score_order ~sizes ~edges order =
   let n = Array.length order in
   let start = Array.make (Array.length sizes) 0 in
   let cursor = ref 0 in
@@ -93,13 +91,13 @@ let score_order ?(params = default_params) ~sizes ~edges order =
   Array.fold_left
     (fun acc { src; dst; weight } ->
       acc
-      +. contribution params ~src_end:(start.(src) + sizes.(src))
+      +. contribution ~src_end:(start.(src) + sizes.(src))
            ~dst_start:start.(dst) weight)
     0.0 edges
 
-let score_decision ?params profile pid (decision : Ba_layout.Decision.t) =
+let score_decision profile pid (decision : Ba_layout.Decision.t) =
   let proc = Ba_ir.Program.proc (Ba_cfg.Profile.program profile) pid in
-  score_order ?params ~sizes:(sizes_of proc) ~edges:(edges_of profile pid)
+  score_order ~sizes:(sizes_of proc) ~edges:(edges_of profile pid)
     decision.Ba_layout.Decision.order
 
 module Eval = struct
@@ -110,7 +108,6 @@ module Eval = struct
      per-edge contributions reusable: an edge's contribution depends only
      on the two endpoints' offsets within a *common* chain. *)
   type t = {
-    params : params;
     sizes : int array;
     edges : edge array;
     contrib : float array;  (* cached contribution per edge, in edge order *)
@@ -124,7 +121,7 @@ module Eval = struct
     entry_chain : unit -> int;
   }
 
-  let create ?(params = default_params) profile pid =
+  let create profile pid =
     let proc = Ba_ir.Program.proc (Ba_cfg.Profile.program profile) pid in
     let n = Ba_ir.Proc.n_blocks proc in
     let sizes = sizes_of proc in
@@ -147,13 +144,12 @@ module Eval = struct
       Array.map
         (fun { src; dst; weight } ->
           if src = dst then
-            contribution params ~src_end:sizes.(src) ~dst_start:0 weight
+            contribution ~src_end:sizes.(src) ~dst_start:0 weight
           else 0.0)
         edges
     in
     let t =
       {
-        params;
         sizes;
         edges;
         contrib;
@@ -184,7 +180,7 @@ module Eval = struct
        chain b. *)
     let { src; dst; weight } = t.edges.(e) in
     let place blk = t.offset.(blk) + if in_b blk then shift_b else 0 in
-    contribution t.params
+    contribution
       ~src_end:(place src + t.sizes.(src))
       ~dst_start:(place dst) weight
 
@@ -286,8 +282,8 @@ module Eval = struct
       (List.concat_map (fun c -> Hashtbl.find t.blocks_of c) (entry :: rest))
 end
 
-let align_proc ?params ?strategy profile pid =
-  let ev = Eval.create ?params profile pid in
+let align_proc ?strategy profile pid =
+  let ev = Eval.create profile pid in
   let rec loop () =
     match Eval.best_merge ev with
     | Some (a, b, _) ->
@@ -300,8 +296,8 @@ let align_proc ?params ?strategy profile pid =
   let ctx = Ctx.of_profile profile pid in
   let greedy = Ctx.to_decision ?strategy ctx (Greedy.build_chains ctx) in
   if
-    score_decision ?params profile pid greedy
-    > score_decision ?params profile pid mine
+    score_decision profile pid greedy
+    > score_decision profile pid mine
   then begin
     Ba_obs.Counter.incr m_guard;
     greedy

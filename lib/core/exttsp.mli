@@ -22,18 +22,11 @@
     The objective is architecture-oblivious (like Greedy); [align_proc]
     still never loses to Greedy {e under the ExtTSP objective} — it scores
     Pettis-Hansen's layout too and keeps whichever is better (counted by
-    the [core.exttsp.guard] metric). *)
+    the [core.exttsp.guard] metric).
 
-type params = {
-  fall_weight : float;  (** credit per traversal of a fall-through edge *)
-  jump_weight : float;  (** peak credit for a zero-distance jump *)
-  fwd_limit : int;  (** forward jumps at or beyond this distance score 0 *)
-  bwd_limit : int;  (** backward jumps at or beyond this distance score 0 *)
-}
-
-val default_params : params
-(** The published constants: fall-through 1.0, jump 0.1, forward window
-    1024, backward window 640 (instruction slots). *)
+    The objective uses the published constants: 1.0 per fall-through
+    traversal, a peak of 0.1 per jump traversal decaying linearly to 0 at
+    1024 instruction slots forward and 640 backward. *)
 
 type edge = {
   src : Ba_ir.Term.block_id;
@@ -56,15 +49,13 @@ val sizes_of : Ba_ir.Proc.t -> int array
     merges can be evaluated incrementally.) *)
 
 val score_order :
-  ?params:params -> sizes:int array -> edges:edge array ->
-  Ba_ir.Term.block_id array -> float
+  sizes:int array -> edges:edge array -> Ba_ir.Term.block_id array -> float
 (** From-scratch objective of a complete block order: the sum over [edges]
     (in array order) of each edge's contribution at its laid-out
     distance. *)
 
 val score_decision :
-  ?params:params -> Ba_cfg.Profile.t -> Ba_ir.Term.proc_id ->
-  Ba_layout.Decision.t -> float
+  Ba_cfg.Profile.t -> Ba_ir.Term.proc_id -> Ba_layout.Decision.t -> float
 (** {!score_order} of a decision's order, with edges and sizes derived
     from the profile. *)
 
@@ -72,7 +63,7 @@ val score_decision :
 module Eval : sig
   type t
 
-  val create : ?params:params -> Ba_cfg.Profile.t -> Ba_ir.Term.proc_id -> t
+  val create : Ba_cfg.Profile.t -> Ba_ir.Term.proc_id -> t
   (** Every block in its own chain; only self-loop edges score. *)
 
   val n_chains : t -> int
@@ -114,7 +105,6 @@ module Eval : sig
 end
 
 val align_proc :
-  ?params:params ->
   ?strategy:Ba_layout.Chain_order.strategy ->
   Ba_cfg.Profile.t -> Ba_ir.Term.proc_id ->
   Ba_layout.Decision.t

@@ -150,8 +150,12 @@ let m_link = Ba_obs.Counter.make ~unit_:"edges" "core.align.tryn.link"
 let m_neither = Ba_obs.Counter.make ~unit_:"sites" "core.align.tryn.neither"
 let m_cold_link = Ba_obs.Counter.make ~unit_:"edges" "core.align.tryn.cold_link"
 
+(* Edges executed fewer times than this are linked greedily after the
+   search (the paper prunes edges executed no more than once). *)
+let min_weight = 2
+
 let build_chains ~arch ?(table = Cost_model.default_table) ?(n = 15)
-    ?(min_weight = 2) (ctx : Ctx.t) =
+    (ctx : Ctx.t) =
   if n < 1 then invalid_arg "Tryn.build_chains: n must be positive";
   let chain = Ctx.fresh_chain ctx in
   let hot, cold = List.partition (fun (_, w) -> w >= min_weight) ctx.Ctx.edges in

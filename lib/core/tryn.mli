@@ -1,7 +1,7 @@
 (** The paper's Try15 alignment algorithm (§4).
 
-    The procedure's alignable edges that executed at least [min_weight]
-    times (the paper prunes edges executed no more than once) are taken in
+    The procedure's alignable edges that executed at least twice (the
+    paper prunes edges executed no more than once) are taken in
     weight order, [n] at a time.  For each group every feasible combination
     of per-edge placements — fall-through or taken — is enumerated with a
     branch-and-bound search and scored under the architecture's cost model;
@@ -20,6 +20,5 @@ val build_chains :
   arch:Cost_model.arch ->
   ?table:Cost_model.table ->
   ?n:int ->
-  ?min_weight:int ->
   Ctx.t ->
   Ba_layout.Chain.t

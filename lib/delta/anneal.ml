@@ -101,7 +101,3 @@ let align_program ?seed ?sweeps ~arch ?table profile =
   let program = Ba_cfg.Profile.program profile in
   Array.init (Ba_ir.Program.n_procs program) (fun pid ->
       align_proc ?seed ?sweeps ~arch ?table profile pid)
-
-let image ?seed ?sweeps ~arch ?table profile =
-  let program = Ba_cfg.Profile.program profile in
-  Image.build ~profile program (align_program ?seed ?sweeps ~arch ?table profile)

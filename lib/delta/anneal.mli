@@ -26,13 +26,3 @@ val align_program :
   ?table:Ba_core.Cost_model.table ->
   Ba_cfg.Profile.t ->
   Ba_layout.Decision.t array
-
-val image :
-  ?seed:int ->
-  ?sweeps:int ->
-  arch:Ba_core.Cost_model.arch ->
-  ?table:Ba_core.Cost_model.table ->
-  Ba_cfg.Profile.t ->
-  Ba_layout.Image.t
-(** Align every procedure and build the image, as {!Ba_core.Align.image}
-    does for the deterministic algorithms. *)

@@ -88,14 +88,18 @@ type geom = {
   bpc : int array;  (* site -> branch pc (addr + insns) *)
 }
 
+(* The simulator's defaults: the paper's penalties (1/4) and a 32-entry
+   return stack, as Runner.simulate uses; entry-scoped direct-PHT replay
+   prices at most [scoped_max] changed sites. *)
+let penalties = Bep.default_penalties
+let ras_depth = 32
+let scoped_max = 32
+
 type t = {
   stream : Stream.t;
   profile : Ba_cfg.Profile.t;
   specs : spec array;
-  penalties : Bep.penalties;
-  ras_depth : int;
   ras_risky : bool;  (* deeper calls than the stack: pops can be wrong *)
-  scoped_max : int;
   base_geom : geom;
   base_cond : int array;  (* cached cond penalty per table spec, else 0 *)
   stats : stats;
@@ -171,7 +175,7 @@ let ret_mp_count t geom =
   else begin
     t.stats.ras_substreams <- t.stats.ras_substreams + 1;
     let fl = geom.flat in
-    let ras = Return_stack.create ~depth:t.ras_depth in
+    let ras = Return_stack.create ~depth:ras_depth in
     let mp = ref 0 in
     let ri = ref 0 in
     Array.iter
@@ -235,7 +239,7 @@ let rule_cond_counts t geom spec =
 (* Full conditional-substream replay against a real predictor. *)
 let replay_cond t geom ~access =
   let fl = geom.flat in
-  let mfp = t.penalties.Bep.misfetch and mpp = t.penalties.Bep.mispredict in
+  let mfp = penalties.Bep.misfetch and mpp = penalties.Bep.mispredict in
   let pen = ref 0 in
   Array.iter
     (fun cr ->
@@ -298,7 +302,7 @@ let scoped_direct_penalty t geom ~entries changed cached_base =
   let base_t = Array.make entries Counter2.initial in
   let cand_t = Array.make entries Counter2.initial in
   let bfl = t.base_geom.flat and fl = geom.flat in
-  let mfp = t.penalties.Bep.misfetch and mpp = t.penalties.Bep.mispredict in
+  let mfp = penalties.Bep.misfetch and mpp = penalties.Bep.mispredict in
   let base_pen = ref 0 and cand_pen = ref 0 in
   Array.iter
     (fun cr ->
@@ -347,7 +351,7 @@ let table_cond_penalty t geom ix spec =
     | [] ->
       t.stats.cond_cached <- t.stats.cond_cached + 1;
       cached
-    | changed when List.compare_length_with changed t.scoped_max <= 0 ->
+    | changed when List.compare_length_with changed scoped_max <= 0 ->
       t.stats.cond_scoped <- t.stats.cond_scoped + 1;
       scoped_direct_penalty t geom ~entries changed cached
     | _ ->
@@ -371,7 +375,7 @@ let table_cond_penalty t geom ix spec =
 let machine_run t geom arch =
   t.stats.machine_runs <- t.stats.machine_runs + 1;
   let sim =
-    Bep.create ~penalties:t.penalties ~return_stack_depth:t.ras_depth arch
+    Bep.create ~penalties ~return_stack_depth:ras_depth arch
   in
   let st = t.stream and fl = geom.flat in
   let scratch = { Ba_exec.Event.pc = 0; target = 0; kind = Ba_exec.Event.Uncond } in
@@ -454,16 +458,15 @@ let cost_spec t geom ~noncond ~ret_mp ix spec =
     t.stats.closed_form <- t.stats.closed_form + 1;
     let mf0, mp0 = Lazy.force noncond in
     let mf1, mp1 = rule_cond_counts t geom spec in
-    ((mf0 + mf1) * t.penalties.Bep.misfetch)
-    + ((mp0 + mp1 + Lazy.force ret_mp) * t.penalties.Bep.mispredict)
+    ((mf0 + mf1) * penalties.Bep.misfetch)
+    + ((mp0 + mp1 + Lazy.force ret_mp) * penalties.Bep.mispredict)
   | Pht_direct _ | Pht_gshare _ | Pht_global _ | Pht_local _ ->
     let mf0, mp0 = Lazy.force noncond in
-    (mf0 * t.penalties.Bep.misfetch)
-    + ((mp0 + Lazy.force ret_mp) * t.penalties.Bep.mispredict)
+    (mf0 * penalties.Bep.misfetch)
+    + ((mp0 + Lazy.force ret_mp) * penalties.Bep.mispredict)
     + table_cond_penalty t geom ix spec
 
-let create ?(penalties = Bep.default_penalties) ?(ras_depth = 32)
-    ?(scoped_max = 32) ~specs profile trace base =
+let create ~specs profile trace base =
   let program = Ba_cfg.Profile.program profile in
   let stream = Stream.build program trace in
   let stats =
@@ -482,10 +485,7 @@ let create ?(penalties = Bep.default_penalties) ?(ras_depth = 32)
       stream;
       profile;
       specs = Array.copy specs;
-      penalties;
-      ras_depth;
       ras_risky = stream.Stream.max_depth > ras_depth;
-      scoped_max;
       base_geom;
       base_cond = Array.make (Array.length specs) 0;
       stats;

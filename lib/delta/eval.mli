@@ -47,9 +47,6 @@ type stats = {
 type t
 
 val create :
-  ?penalties:Ba_sim.Bep.penalties ->
-  ?ras_depth:int ->
-  ?scoped_max:int ->
   specs:spec array ->
   Ba_cfg.Profile.t ->
   Ba_trace.Trace.t ->
@@ -57,9 +54,10 @@ val create :
   t
 (** [create ~specs profile trace base] replays the trace once (shape only)
     and prices the base layout's conditional substreams so later
-    candidates near [base] hit the cached paths.  Defaults: the paper's
-    penalties (1/4), a 32-entry return stack, and entry-scoped direct-PHT
-    replay for at most [scoped_max = 32] changed sites. *)
+    candidates near [base] hit the cached paths.  Prices with the paper's
+    penalties (1/4) and a 32-entry return stack, as {!Ba_sim.Runner.simulate}
+    does, and replays entry-scoped direct-PHT substreams for at most 32
+    changed sites. *)
 
 val specs : t -> spec array
 val stats : t -> stats

@@ -124,22 +124,20 @@ let stitch_order profile program =
   Array.of_list (List.concat_map (fun c -> !(members.(c))) (chain_of.(0) :: rest))
 
 (* The first layout position of the procedure's cold suffix (its block
-   count when nothing is cold): the longest all-cold tail that keeps the
-   entry hot and is only entered through an explicit transfer — the block
-   before the split must not fall through, or the gap would break the
-   control flow the addresses describe. *)
-let split_point profile ~cold_threshold p (linear : Linear.t) =
+   count when nothing is cold): the longest tail of never-visited blocks
+   that keeps the entry hot and is only entered through an explicit
+   transfer — the block before the split must not fall through, or the gap
+   would break the control flow the addresses describe. *)
+let split_point profile p (linear : Linear.t) =
   let blocks = linear.Linear.blocks in
   let n = Array.length blocks in
-  let cold i =
-    Ba_cfg.Profile.visits profile p blocks.(i).Linear.src <= cold_threshold
-  in
+  let cold i = Ba_cfg.Profile.visits profile p blocks.(i).Linear.src = 0 in
   let s = ref n in
   while !s > 1 && cold (!s - 1) do decr s done;
   while !s < n && Linear.falls_through blocks.(!s - 1) do incr s done;
   !s
 
-let build_interproc ?pads ?(cold_threshold = 0) ~profile program decisions =
+let build_interproc ?pads ~profile program decisions =
   Ba_obs.Span.with_ "lower" @@ fun () ->
   let n = Ba_ir.Program.n_procs program in
   if Array.length decisions <> n then
@@ -153,8 +151,6 @@ let build_interproc ?pads ?(cold_threshold = 0) ~profile program decisions =
         if pad < 0 then invalid_arg "Image.build_interproc: negative pad")
       pads
   | None -> ());
-  if cold_threshold < 0 then
-    invalid_arg "Image.build_interproc: negative cold threshold";
   let linears =
     Array.init n (fun p ->
         let proc = Ba_ir.Program.proc program p in
@@ -164,7 +160,7 @@ let build_interproc ?pads ?(cold_threshold = 0) ~profile program decisions =
   in
   let proc_order = stitch_order profile program in
   let splits =
-    Array.init n (fun p -> split_point profile ~cold_threshold p linears.(p))
+    Array.init n (fun p -> split_point profile p linears.(p))
   in
   (* Hot prefixes in stitched order (with the pads), then every cold
      suffix in the same order in one trailing cold section.  Addresses

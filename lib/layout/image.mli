@@ -41,7 +41,6 @@ type interproc = {
 
 val build_interproc :
   ?pads:int array ->
-  ?cold_threshold:int ->
   profile:Ba_cfg.Profile.t ->
   Ba_ir.Program.t ->
   Decision.t array ->
@@ -49,8 +48,8 @@ val build_interproc :
 (** Inter-procedural layout (Codestitcher-style): procedures are chained
     along their heaviest call edges so hot callees land right after their
     hot callers (the entry procedure first), and each procedure's all-cold
-    layout suffix — blocks visited at most [cold_threshold] times
-    (default 0) — is moved to one trailing cold section.
+    layout suffix — blocks the profile never visited — is moved to one
+    trailing cold section.
 
     Decisions are untouched: every procedure keeps its block permutation,
     so lowering, per-procedure costs and the bisimulation witness are the
@@ -65,7 +64,7 @@ val build_interproc :
     [pads], as in {!build}, inserts unused slots before each procedure's
     hot region (in placement order) — the same mechanism conflict-aware
     placement uses.  Raises [Invalid_argument] on the same conditions as
-    {!build} plus a negative [cold_threshold]. *)
+    {!build}. *)
 
 val original : ?profile:Ba_cfg.Profile.t -> Ba_ir.Program.t -> t
 (** The identity layout of every procedure — the "Orig" rows of the paper's

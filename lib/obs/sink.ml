@@ -8,7 +8,7 @@ let is_volatile name =
 let unit_of name =
   match Catalogue.find name with Some def -> def.Catalogue.unit_ | None -> ""
 
-let keep ~volatile (name, _) = volatile || not (is_volatile name)
+let stable (name, _) = not (is_volatile name)
 
 (* -- JSON ------------------------------------------------------------------- *)
 
@@ -34,28 +34,26 @@ let histo_json (h : Registry.hsnap) =
          (if overflow > 0 then [ ("overflow", Int overflow) ] else []);
        ])
 
-let rec span_json ~times (s : Registry.span) =
+let rec span_json (s : Registry.span) =
   let open Ba_util.Json in
   Obj
-    (List.concat
-       [
-         [ ("name", String s.Registry.name); ("count", Int s.Registry.count) ];
-         (if times then [ ("seconds", Float s.Registry.seconds) ] else []);
-         (match s.Registry.children with
-         | [] -> []
-         | cs -> [ ("children", List (List.map (span_json ~times) cs)) ]);
-       ])
+    (("name", String s.Registry.name)
+    :: ("count", Int s.Registry.count)
+    ::
+    (match s.Registry.children with
+    | [] -> []
+    | cs -> [ ("children", List (List.map span_json cs)) ]))
 
-let to_json ?(times = false) ?(volatile = false) reg =
+let to_json reg =
   let open Ba_util.Json in
   let obj_of entries value = Obj (List.map (fun (n, v) -> (n, value v)) entries) in
   Obj
     [
-      ("counters", obj_of (List.filter (keep ~volatile) (Registry.counters reg)) (fun v -> Int v));
-      ("gauges", obj_of (List.filter (keep ~volatile) (Registry.gauges reg)) (fun v -> Int v));
+      ("counters", obj_of (List.filter stable (Registry.counters reg)) (fun v -> Int v));
+      ("gauges", obj_of (List.filter stable (Registry.gauges reg)) (fun v -> Int v));
       ( "histograms",
-        obj_of (List.filter (keep ~volatile) (Registry.histograms reg)) histo_json );
-      ("spans", List (List.map (span_json ~times) (Registry.spans reg)));
+        obj_of (List.filter stable (Registry.histograms reg)) histo_json );
+      ("spans", List (List.map span_json (Registry.spans reg)));
     ]
 
 (* -- ASCII ------------------------------------------------------------------ *)
@@ -101,36 +99,31 @@ let histo_table rows =
                 ])
               rows))
 
-let rec span_lines ~times ~depth (s : Registry.span) =
-  let indent = String.make (2 * depth) ' ' in
-  let line =
-    if times then
-      Printf.sprintf "%s%s: %d (%.3fs)" indent s.Registry.name s.Registry.count
-        s.Registry.seconds
-    else Printf.sprintf "%s%s: %d" indent s.Registry.name s.Registry.count
-  in
-  line :: List.concat_map (span_lines ~times ~depth:(depth + 1)) s.Registry.children
+let rec span_lines ~depth (s : Registry.span) =
+  Printf.sprintf "%s%s: %d (%.3fs)" (String.make (2 * depth) ' ') s.Registry.name
+    s.Registry.count s.Registry.seconds
+  :: List.concat_map (span_lines ~depth:(depth + 1)) s.Registry.children
 
-let render ?(times = true) ?(volatile = true) reg =
+let render reg =
   let sections =
     List.filter
       (fun s -> s <> "")
       [
-        scalar_table "counters" (List.filter (keep ~volatile) (Registry.counters reg));
-        scalar_table "gauges" (List.filter (keep ~volatile) (Registry.gauges reg));
-        histo_table (List.filter (keep ~volatile) (Registry.histograms reg));
+        scalar_table "counters" (Registry.counters reg);
+        scalar_table "gauges" (Registry.gauges reg);
+        histo_table (Registry.histograms reg);
         (match Registry.spans reg with
         | [] -> ""
         | spans ->
           "-- spans --\n"
-          ^ String.concat "\n" (List.concat_map (span_lines ~times ~depth:0) spans)
+          ^ String.concat "\n" (List.concat_map (span_lines ~depth:0) spans)
           ^ "\n");
       ]
   in
   String.concat "\n" sections
 
-let emit ?times ?volatile format reg =
+let emit format reg =
   match format with
   | Noop -> ""
-  | Json -> Ba_util.Json.to_string (to_json ?times ?volatile reg) ^ "\n"
-  | Ascii -> render ?times ?volatile reg
+  | Json -> Ba_util.Json.to_string (to_json reg) ^ "\n"
+  | Ascii -> render reg

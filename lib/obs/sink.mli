@@ -5,17 +5,16 @@
     (renders nothing — with no registry installed the whole subsystem
     costs one branch per instrumented operation).
 
-    Determinism: [to_json] defaults to [~times:false ~volatile:false],
-    eliding span wall-times and scheduling-dependent metrics (pool steals,
-    pool width) — the resulting document is byte-identical whatever [-j]
-    the work ran under.  [render] defaults to showing everything; its
-    output is for eyes, not for diffing. *)
+    Determinism: [to_json] elides span wall-times and scheduling-dependent
+    metrics (pool steals, pool width), so the document is byte-identical
+    whatever [-j] the work ran under.  [render] shows everything, wall
+    times included; its output is for eyes, not for diffing. *)
 
 type format = Ascii | Json | Noop
 
-val to_json : ?times:bool -> ?volatile:bool -> Registry.t -> Ba_util.Json.t
+val to_json : Registry.t -> Ba_util.Json.t
 
-val render : ?times:bool -> ?volatile:bool -> Registry.t -> string
+val render : Registry.t -> string
 
-val emit : ?times:bool -> ?volatile:bool -> format -> Registry.t -> string
+val emit : format -> Registry.t -> string
 (** [Json] output ends with a newline; [Noop] is [""]. *)

@@ -20,7 +20,7 @@ let models =
   [ Cost_model.Fallthrough; Cost_model.Btfnt; Cost_model.Likely;
     Cost_model.Pht; Cost_model.Btb ]
 
-let evaluate ?max_steps ?(k = 4) ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
+let evaluate ?max_steps ?(k = 4) (workload : Ba_workloads.Spec.t) =
   let max_steps =
     match max_steps with
     | Some s -> s
@@ -33,7 +33,7 @@ let evaluate ?max_steps ?(k = 4) ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
     List.map
       (fun model ->
         let layout algo = Align.align_program algo ~arch:model profile in
-        let base = layout (Align.Tryn tryn) in
+        let base = layout (Align.Tryn 15) in
         (* Candidates are priced by the incremental evaluator — exactly
            the integer [Bep.bep] a full replay reports, which the
            differential wall enforces — so the search costs O(affected
@@ -76,9 +76,9 @@ let evaluate ?max_steps ?(k = 4) ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
   in
   { workload; cells }
 
-let evaluate_suite ?max_steps ?k ?tryn ?jobs workloads =
+let evaluate_suite ?max_steps ?k ?jobs workloads =
   Ba_par.Pool.with_pool ?jobs (fun pool ->
-      Ba_par.Pool.map pool (evaluate ?max_steps ?k ?tryn) workloads)
+      Ba_par.Pool.map pool (evaluate ?max_steps ?k) workloads)
 
 let render rows =
   let open Ba_util.Ascii_table in

@@ -34,20 +34,10 @@ type row = { workload : Ba_workloads.Spec.t; cells : cell list }
 val models : Ba_core.Cost_model.arch list
 (** The five cost-model architectures, in harness column order. *)
 
-val evaluate :
-  ?max_steps:int ->
-  ?k:int ->
-  ?tryn:int ->
-  Ba_workloads.Spec.t ->
-  row
+val evaluate : ?max_steps:int -> ?k:int -> Ba_workloads.Spec.t -> row
 
 val evaluate_suite :
-  ?max_steps:int ->
-  ?k:int ->
-  ?tryn:int ->
-  ?jobs:int ->
-  Ba_workloads.Spec.t list ->
-  row list
+  ?max_steps:int -> ?k:int -> ?jobs:int -> Ba_workloads.Spec.t list -> row list
 (** Deterministic parallel evaluation, one task per workload. *)
 
 val render : row list -> string

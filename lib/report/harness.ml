@@ -64,6 +64,16 @@ let full_archs =
     `Arch btb256_arch;
   ]
 
+let simulate_archs =
+  [
+    `Likely;
+    `Arch Bep.Static_fallthrough;
+    `Arch Bep.Static_btfnt;
+    `Arch pht_direct_arch;
+    `Arch gshare_arch;
+    `Arch btb256_arch;
+  ]
+
 let cpis_of_full outcome ~orig_insns =
   let c i = cpi outcome ~orig_insns i in
   {
@@ -76,7 +86,7 @@ let cpis_of_full outcome ~orig_insns =
     btb256 = c 6;
   }
 
-let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
+let evaluate ?max_steps (workload : Ba_workloads.Spec.t) =
   let max_steps =
     match max_steps with Some s -> s | None -> Ba_workloads.Spec.default_max_steps
   in
@@ -103,12 +113,12 @@ let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
   let exttsp_image = Align.image Align.ExtTsp profile in
   let exttsp_out = run_image ~archs:full_archs exttsp_image in
   (* One Try15 alignment per architectural cost model. *)
-  let try15_image ?strategy arch = Align.image (Align.Tryn tryn) ?strategy ~arch profile in
+  let try15_image arch = Align.image (Align.Tryn 15) ~arch profile in
   let t15_ft_img = try15_image Cost_model.Fallthrough in
   let t15_btfnt_img =
     (* Two refinement rounds: the second pass knows the first layout's real
        branch directions, which only BT/FNT cares about. *)
-    Align.image (Align.Tryn tryn) ~strategy:Ba_layout.Chain_order.Btfnt_precedence
+    Align.image (Align.Tryn 15) ~strategy:Ba_layout.Chain_order.Btfnt_precedence
       ~arch:Cost_model.Btfnt ~refine_rounds:2 profile
   in
   let t15_likely_img = try15_image Cost_model.Likely in
@@ -137,7 +147,7 @@ let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
   (* One annealed alignment per architectural cost model, mirroring the
      Try15 structure.  Seed 0 and a fixed schedule: the column is
      byte-identical across runs and at any [-j]. *)
-  let anneal_image arch = Ba_delta.Anneal.image ~arch profile in
+  let anneal_image arch = Ba_delta.Algo.image Ba_delta.Algo.Anneal ~arch profile in
   let an_ft = run_image ~archs:[ `Arch Bep.Static_fallthrough ] (anneal_image Cost_model.Fallthrough) in
   let an_btfnt = run_image ~archs:[ `Arch Bep.Static_btfnt ] (anneal_image Cost_model.Btfnt) in
   let an_likely = run_image ~archs:[ `Likely ] (anneal_image Cost_model.Likely) in
@@ -200,23 +210,22 @@ let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
     alpha;
   }
 
-let evaluate_suite ?max_steps ?tryn ?jobs workloads =
+let evaluate_suite ?max_steps ?jobs workloads =
   Ba_par.Pool.with_pool ?jobs (fun pool ->
-      Ba_par.Pool.map pool (evaluate ?max_steps ?tryn) workloads)
+      Ba_par.Pool.map pool (evaluate ?max_steps) workloads)
 
-let evaluate_suite_timed ?max_steps ?tryn ?jobs workloads =
+let evaluate_suite_timed ?max_steps ?jobs workloads =
   Ba_par.Pool.with_pool ?jobs (fun pool ->
       Ba_par.Pool.timed_map pool ~label:"evaluate_suite"
         ~task_label:(fun (w : Ba_workloads.Spec.t) -> w.Ba_workloads.Spec.name)
-        (evaluate ?max_steps ?tryn) workloads)
+        (evaluate ?max_steps) workloads)
 
-let class_groups evals =
-  let group cls =
-    List.filter (fun e -> e.workload.Ba_workloads.Spec.cls = cls) evals
-  in
+let by_class workload items =
   List.filter_map
     (fun cls ->
-      match group cls with
+      match
+        List.filter (fun x -> (workload x).Ba_workloads.Spec.cls = cls) items
+      with
       | [] -> None
-      | es -> Some (Ba_workloads.Spec.cls_name cls, es))
+      | xs -> Some (Ba_workloads.Spec.cls_name cls, xs))
     [ Ba_workloads.Spec.Fp; Ba_workloads.Spec.Int; Ba_workloads.Spec.Other ]

@@ -31,6 +31,26 @@ val full_archs : [ `Arch of Ba_sim.Bep.arch | `Likely ] list
     rebuilt per image ({!Ba_predict.Likely_bits.build}); the placement
     table reuses this list so its columns match. *)
 
+val simulate_archs : [ `Arch of Ba_sim.Bep.arch | `Likely ] list
+(** The six architectures [branch_align simulate] and [run] and the serve
+    [simulate] kind report, in row order: LIKELY, FALLTHROUGH, BT/FNT, the
+    two PHTs and the 256-entry BTB. *)
+
+val run_image :
+  max_steps:int ->
+  profile:Ba_cfg.Profile.t ->
+  trace:Ba_trace.Trace.t ->
+  archs:[ `Arch of Ba_sim.Bep.arch | `Likely ] list ->
+  Ba_layout.Image.t ->
+  Ba_sim.Runner.outcome
+(** Score one image: replay [trace] through it, driving every
+    architecture of [archs] in order, with LIKELY hint bits built from
+    the image itself (re-annotating the rewritten binary). *)
+
+val cpi : Ba_sim.Runner.outcome -> orig_insns:int -> int -> float
+(** [cpi outcome ~orig_insns i]: relative CPI of the [i]th architecture
+    of [outcome] against the original program's instruction count. *)
+
 type eval = {
   workload : Ba_workloads.Spec.t;
   orig_insns : int;
@@ -58,21 +78,16 @@ type eval = {
           the 21064 model; computed for the SPEC C programs *)
 }
 
-val evaluate : ?max_steps:int -> ?tryn:int -> Ba_workloads.Spec.t -> eval
-(** [max_steps] defaults to {!Ba_workloads.Spec.default_max_steps}; [tryn]
-    to 15.  The workload's profile {e and} semantic trace come from the
-    process-wide {!Ba_workloads.Profiled} memo, so the interpreter runs
-    only once per workload per budget; every image (original included) is
-    then scored by replaying the trace ({!Ba_sim.Runner.simulate}'s
-    [?trace] path), which the differential test wall proves equal to
-    interpreting every image. *)
+val evaluate : ?max_steps:int -> Ba_workloads.Spec.t -> eval
+(** [max_steps] defaults to {!Ba_workloads.Spec.default_max_steps}.  The
+    workload's profile {e and} semantic trace come from the process-wide
+    {!Ba_workloads.Profiled} memo, so the interpreter runs only once per
+    workload per budget; every image (original included) is then scored
+    by {!run_image}, which replays the trace, and which the differential
+    test wall proves equal to interpreting every image. *)
 
 val evaluate_suite :
-  ?max_steps:int ->
-  ?tryn:int ->
-  ?jobs:int ->
-  Ba_workloads.Spec.t list ->
-  eval list
+  ?max_steps:int -> ?jobs:int -> Ba_workloads.Spec.t list -> eval list
 (** Evaluate the workloads on a {!Ba_par.Pool} of [jobs] domains (default
     {!Ba_par.Pool.default_jobs}, i.e. the [BA_JOBS] environment variable or
     the machine's domain count; [jobs = 1] forces the sequential path).
@@ -81,12 +96,12 @@ val evaluate_suite :
 
 val evaluate_suite_timed :
   ?max_steps:int ->
-  ?tryn:int ->
   ?jobs:int ->
   Ba_workloads.Spec.t list ->
   eval list * Ba_par.Stats.t
 (** {!evaluate_suite} plus per-workload wall times. *)
 
-val class_groups : eval list -> (string * eval list) list
-(** Group evaluations by workload class, preserving order, with the
-    paper's group labels. *)
+val by_class :
+  ('a -> Ba_workloads.Spec.t) -> 'a list -> (string * 'a list) list
+(** Group report rows by their workload's class (FP, INT, Other, with the
+    paper's group labels), preserving order and dropping empty groups. *)

@@ -82,14 +82,9 @@ let render rows =
       ]
   in
   let groups =
-    List.filter_map
-      (fun cls ->
-        match
-          List.filter (fun r -> r.workload.Ba_workloads.Spec.cls = cls) rows
-        with
-        | [] -> None
-        | rs -> Some (Ba_workloads.Spec.cls_name cls, List.map to_row rs))
-      [ Ba_workloads.Spec.Fp; Ba_workloads.Spec.Int; Ba_workloads.Spec.Other ]
+    List.map
+      (fun (label, rs) -> (label, List.map to_row rs))
+      (Harness.by_class (fun r -> r.workload) rows)
   in
   render_grouped ~columns ~groups
 

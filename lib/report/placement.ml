@@ -25,18 +25,12 @@ let arch_labels =
   ]
 
 let penalties ~max_steps ~profile ~trace image =
-  let archs =
-    List.map
-      (function
-        | `Likely ->
-          Bep.Static_likely (Ba_predict.Likely_bits.build image profile)
-        | `Arch a -> a)
-      Harness.full_archs
+  let outcome =
+    Harness.run_image ~max_steps ~profile ~trace ~archs:Harness.full_archs image
   in
-  let outcome = Runner.simulate ~max_steps ~trace ~archs image in
   Array.map (fun (_, sim) -> Bep.bep sim) outcome.Runner.sims
 
-let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
+let evaluate ?max_steps (workload : Ba_workloads.Spec.t) =
   let max_steps =
     match max_steps with
     | Some s -> s
@@ -48,7 +42,7 @@ let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
   (* The canonical BTB-aligned Try15 layout — the configuration the paper
      carries into its hardware evaluation — is the placement baseline. *)
   let decisions =
-    Align.align_program (Align.Tryn tryn) ~arch:Cost_model.Btb profile
+    Align.align_program (Align.Tryn 15) ~arch:Cost_model.Btb profile
   in
   let base_image = Ba_layout.Image.build ~profile program decisions in
   let place =
@@ -70,9 +64,9 @@ let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
     pad_slots = Array.fold_left ( + ) 0 place.Ba_conflict.Place.pads;
   }
 
-let evaluate_suite ?max_steps ?tryn ?jobs workloads =
+let evaluate_suite ?max_steps ?jobs workloads =
   Ba_par.Pool.with_pool ?jobs (fun pool ->
-      Ba_par.Pool.map pool (evaluate ?max_steps ?tryn) workloads)
+      Ba_par.Pool.map pool (evaluate ?max_steps) workloads)
 
 let render rows =
   let open Ba_util.Ascii_table in
@@ -93,14 +87,9 @@ let render rows =
       ]
   in
   let groups =
-    List.filter_map
-      (fun cls ->
-        match
-          List.filter (fun r -> r.workload.Ba_workloads.Spec.cls = cls) rows
-        with
-        | [] -> None
-        | rs -> Some (Ba_workloads.Spec.cls_name cls, List.map to_row rs))
-      [ Ba_workloads.Spec.Fp; Ba_workloads.Spec.Int; Ba_workloads.Spec.Other ]
+    List.map
+      (fun (label, rs) -> (label, List.map to_row rs))
+      (Harness.by_class (fun r -> r.workload) rows)
   in
   render_grouped ~columns ~groups
 

@@ -34,19 +34,14 @@ val penalties :
   trace:Ba_trace.Trace.t ->
   Ba_layout.Image.t ->
   int array
-(** Penalty cycles of one image per {!Harness.full_archs} architecture
-    (LIKELY bits rebuilt from the image itself); the inter-procedural
-    report scores its images through the same helper so the columns
-    match. *)
+(** Penalty cycles of one image per {!Harness.full_archs} architecture,
+    scored by {!Harness.run_image}; the inter-procedural report scores its
+    images through the same helper so the columns match. *)
 
-val evaluate : ?max_steps:int -> ?tryn:int -> Ba_workloads.Spec.t -> row
+val evaluate : ?max_steps:int -> Ba_workloads.Spec.t -> row
 
 val evaluate_suite :
-  ?max_steps:int ->
-  ?tryn:int ->
-  ?jobs:int ->
-  Ba_workloads.Spec.t list ->
-  row list
+  ?max_steps:int -> ?jobs:int -> Ba_workloads.Spec.t list -> row list
 (** Deterministic parallel evaluation, as {!Harness.evaluate_suite}. *)
 
 val render : row list -> string

@@ -24,7 +24,7 @@ let grouped_with_averages ~columns ~row ~avg evals =
       (fun (label, es) ->
         let rows = List.map row es in
         (label, rows @ [ avg label es ]))
-      (Harness.class_groups evals)
+      (Harness.by_class (fun (e : Harness.eval) -> e.Harness.workload) evals)
   in
   Ascii_table.render_grouped ~columns ~groups
 

@@ -20,8 +20,10 @@ let canonical_decision (linear : Linear.t) =
     linear.Linear.blocks;
   Decision.of_order ~neither order
 
-let check ?(eps = 1e-6) ?sim ~arch ?table ~visits ~cond_counts ~proc_id
-    (linear : Linear.t) =
+(* A move is a finding when it saves more than this many cycles. *)
+let eps = 1e-6
+
+let check ?sim ~arch ?table ~visits ~cond_counts ~proc_id (linear : Linear.t) =
   let p = linear.Linear.proc in
   let proc_name = p.Proc.name in
   let n = Array.length linear.Linear.blocks in

@@ -31,7 +31,6 @@ val canonical_decision : Ba_layout.Linear.t -> Ba_layout.Decision.t
     current jump leg. *)
 
 val check :
-  ?eps:float ->
   ?sim:(Ba_layout.Decision.t -> int) ->
   arch:Ba_core.Cost_model.arch ->
   ?table:Ba_core.Cost_model.table ->
@@ -40,6 +39,6 @@ val check :
   proc_id:Ba_ir.Term.proc_id ->
   Ba_layout.Linear.t ->
   Ba_analysis.Diagnostic.t list
-(** Findings for every strictly improving move (saving > [eps], default
-    1e-6 cycles), sorted.  The input must have passed {!Bisim.verify};
+(** Findings for every strictly improving move (saving more than 1e-6
+    cycles), sorted.  The input must have passed {!Bisim.verify};
     behaviour on unverified code is unspecified. *)

@@ -32,8 +32,11 @@ let recompute ~arch ?(table = Cost_model.default_table) ~visits ~cond_counts
       | Bisim.W_halt -> v *. table.Cost_model.instruction)
     w.Bisim.reals
 
-let certify ?(tolerance = 1e-9) ~arch ?table ~visits ~cond_counts ~proc_id
-    (linear : Linear.t) (w : Bisim.witness) =
+(* Relative agreement required per position, above a 1e-6 absolute floor. *)
+let tolerance = 1e-9
+
+let certify ~arch ?table ~visits ~cond_counts ~proc_id (linear : Linear.t)
+    (w : Bisim.witness) =
   let mine = recompute ~arch ?table ~visits ~cond_counts linear w in
   let theirs = Layout_cost.per_block ~arch ?table ~visits ~cond_counts linear in
   let proc_name = linear.Linear.proc.Ba_ir.Proc.name in

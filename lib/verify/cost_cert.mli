@@ -24,7 +24,6 @@ val recompute :
     and the profile alone. *)
 
 val certify :
-  ?tolerance:float ->
   arch:Ba_core.Cost_model.arch ->
   ?table:Ba_core.Cost_model.table ->
   visits:(Ba_ir.Term.block_id -> int) ->
@@ -33,6 +32,6 @@ val certify :
   Ba_layout.Linear.t ->
   Bisim.witness ->
   (float, Ba_analysis.Diagnostic.t list) result
-(** [Ok total] when every position agrees within [tolerance] (relative,
-    default 1e-9, with a 1e-6 absolute floor); [Error] localises each
+(** [Ok total] when every position agrees within a relative 1e-9, with a
+    1e-6 absolute floor; [Error] localises each
     divergent site. *)

@@ -17,9 +17,8 @@ let error_count t =
   let e, _, _ = Diagnostic.count (diagnostics t) in
   e
 
-let verify_image ?pool ?(cert_arches = Ba_core.Cost_model.all_arches)
-    ?(audit_arch = Ba_core.Cost_model.Btfnt) ?(audit = true) ?trace ~workload
-    ~algo ~profile (image : Ba_layout.Image.t) =
+let verify_image ?pool ?(audit_arch = Ba_core.Cost_model.Btfnt) ?(audit = true)
+    ?trace ~workload ~algo ~profile (image : Ba_layout.Image.t) =
   Ba_obs.Span.with_ "verify" @@ fun () ->
   let program = image.Ba_layout.Image.program in
   let n = Ba_ir.Program.n_procs program in
@@ -68,8 +67,8 @@ let verify_image ?pool ?(cert_arches = Ba_core.Cost_model.all_arches)
     in
     let arch_results =
       match pool with
-      | Some pool -> Ba_par.Pool.map pool certify_arch cert_arches
-      | None -> List.map certify_arch cert_arches
+      | Some pool -> Ba_par.Pool.map pool certify_arch Ba_core.Cost_model.all_arches
+      | None -> List.map certify_arch Ba_core.Cost_model.all_arches
     in
     let certificates = List.filter_map fst arch_results in
     let cert_diags = ref (List.concat_map snd arch_results) in
@@ -110,8 +109,8 @@ let verify_image ?pool ?(cert_arches = Ba_core.Cost_model.all_arches)
 
 let has_errors diags = List.exists Diagnostic.is_error diags
 
-let verify_pipeline ?pool ?(arch = Ba_core.Cost_model.Btfnt) ?cert_arches
-    ?max_steps ?profile ?trace ?audit ?(interproc = false) ~algo
+let verify_pipeline ?pool ?(arch = Ba_core.Cost_model.Btfnt) ?max_steps
+    ?profile ?trace ?audit ?(interproc = false) ~algo
     (program : Ba_ir.Program.t) =
   let unverified lint =
     { lint; bisim = []; certificates = []; cert_diags = []; audit = [];
@@ -154,7 +153,7 @@ let verify_pipeline ?pool ?(arch = Ba_core.Cost_model.Btfnt) ?cert_arches
         else (Ba_layout.Image.build ~profile program decisions, [])
       in
       let bisim, certificates, cert_diags, audit =
-        verify_image ?pool ?cert_arches ~audit_arch:arch ?trace ?audit
+        verify_image ?pool ~audit_arch:arch ?trace ?audit
           ~workload:program.Ba_ir.Program.name
           ~algo:(Ba_core.Align.algo_name algo) ~profile image
       in

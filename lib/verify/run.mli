@@ -15,7 +15,8 @@ type t = {
   bisim : Ba_analysis.Diagnostic.t list;
       (** translation-validation findings, all procedures *)
   certificates : Certificate.t list;
-      (** one per certified architecture, in [cert_arches] order *)
+      (** one per architecture, in {!Ba_core.Cost_model.all_arches}
+          order *)
   cert_diags : Ba_analysis.Diagnostic.t list;
       (** cost-certification cross-check failures *)
   audit : Ba_analysis.Diagnostic.t list;  (** improvable-layout findings *)
@@ -30,7 +31,6 @@ val error_count : t -> int
 
 val verify_image :
   ?pool:Ba_par.Pool.t ->
-  ?cert_arches:Ba_core.Cost_model.arch list ->
   ?audit_arch:Ba_core.Cost_model.arch ->
   ?audit:bool ->
   ?trace:Ba_trace.Trace.t ->
@@ -44,17 +44,16 @@ val verify_image :
   * Ba_analysis.Diagnostic.t list
 (** The verification passes alone — [(bisim, certificates, cert_diags,
     audit)] — over an already-built image, with the lint stages assumed
-    done elsewhere.  [cert_arches] defaults to every architecture,
-    [audit_arch] to BT/FNT.  [pool] certifies the architectures in
-    parallel; certificates keep [cert_arches] order (and therefore their
-    digests) either way.  [trace] (a semantic trace recorded for this
+    done elsewhere.  Every architecture is certified; [audit_arch]
+    defaults to BT/FNT.  [pool] certifies the architectures in parallel;
+    certificates keep {!Ba_core.Cost_model.all_arches} order (and
+    therefore their digests) either way.  [trace] (a semantic trace recorded for this
     profile's run) upgrades audit findings with simulator-exact cycle
     figures via {!Ba_delta.Eval}. *)
 
 val verify_pipeline :
   ?pool:Ba_par.Pool.t ->
   ?arch:Ba_core.Cost_model.arch ->
-  ?cert_arches:Ba_core.Cost_model.arch list ->
   ?max_steps:int ->
   ?profile:Ba_cfg.Profile.t ->
   ?trace:Ba_trace.Trace.t ->
@@ -65,9 +64,9 @@ val verify_pipeline :
   t
 (** Full run: lint stages 1-5 as {!Ba_analysis.Run.check_pipeline} would,
     then verify.  [arch] (default BT/FNT) selects the cost model the
-    alignment and the audit run under; [cert_arches] (default all five)
-    the certified architectures; [profile] replaces the profiling run as
-    in the lint pipeline.  [interproc] (default false) builds the image
+    alignment and the audit run under; all five architectures are
+    certified; [profile] replaces the profiling run as in the lint
+    pipeline.  [interproc] (default false) builds the image
     with {!Ba_layout.Image.build_interproc} instead of
     {!Ba_layout.Image.build} — same decisions, stitched and hot/cold-split
     addresses — so the bisimulation, the cost certificates and the audit

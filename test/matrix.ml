@@ -54,17 +54,13 @@ let arch_for = function
 
 let wall_cells = List.map (fun a -> (a, arch_for a)) algos
 
-let decisions_for ~profile program algo ~arch =
-  match algo with
-  | Ba_core.Align.Original ->
-    Array.init (Ba_ir.Program.n_procs program) (fun p ->
-        Ba_layout.Decision.identity (Ba_ir.Program.proc program p))
-  | _ -> Ba_core.Align.align_program algo ~arch profile
+(* Each cell's layout and image, through the same Ba_delta.Algo calls the
+   command line and the server make. *)
+let decisions_for ~profile algo ~arch =
+  Ba_delta.Algo.decisions (Ba_delta.Algo.Core algo) ~arch profile
 
-let image_for ~profile program algo ~arch =
-  match algo with
-  | Ba_core.Align.Original -> Ba_layout.Image.original ~profile program
-  | _ -> Ba_core.Align.image algo ~arch profile
+let image_for ~profile algo ~arch =
+  Ba_delta.Algo.image (Ba_delta.Algo.Core algo) ~arch profile
 
 (* Every built-in workload's memoized traced run. *)
 let iter_traced ?(max_steps = wall_steps) f =
@@ -83,5 +79,5 @@ let iter_wall ?max_steps ?(cells = wall_cells) f =
       List.iter
         (fun (algo, arch) ->
           f ~w ~algo ~arch ~program ~profile ~trace
-            (image_for ~profile program algo ~arch))
+            (image_for ~profile algo ~arch))
         cells)

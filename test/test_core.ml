@@ -374,7 +374,7 @@ let test_tryn_near_optimal_on_small_procs () =
           incr checked;
           let arch = Cost_model.Fallthrough in
           let opt = Exhaustive.optimal_cost ~arch profile pid in
-          let d = Align.align_proc (Align.Tryn 15) ~arch ~min_weight:1 profile pid in
+          let d = Align.align_proc (Align.Tryn 15) ~arch profile pid in
           let c =
             Layout_cost.branch_cost ~arch
               ~visits:(fun b -> Ba_cfg.Profile.visits profile pid b)

@@ -118,7 +118,7 @@ let test_differential_wall () =
   Matrix.iter_traced (fun w program profile trace ->
       List.iter
         (fun (algo, arch) ->
-          let decisions = Matrix.decisions_for ~profile program algo ~arch in
+          let decisions = Matrix.decisions_for ~profile algo ~arch in
           let what =
             Printf.sprintf "%s/%s" w.Ba_workloads.Spec.name
               (Ba_core.Align.algo_name algo)
@@ -533,6 +533,86 @@ let test_anneal_never_worse () =
     [ "eqntott"; "wave5"; "li" ]
 
 (* ------------------------------------------------------------------ *)
+(* The one algorithm type: every spelling, every name read back, the
+   identity image, and pool-independent annealing. *)
+
+let algo_t = Alcotest.testable (fun ppf a -> Fmt.string ppf (Algo.name a)) ( = )
+
+let test_algo_names () =
+  let open Ba_core.Align in
+  List.iter
+    (fun (spellings, algo) ->
+      List.iter
+        (fun s ->
+          Alcotest.(check (result algo_t string)) s (Ok algo) (Algo.of_name s))
+        spellings)
+    [
+      ([ "orig"; "original"; "Orig"; "ORIGINAL" ], Algo.Core Original);
+      ([ "greedy"; "pettis-hansen"; "Greedy"; "Pettis-Hansen" ], Algo.Core Greedy);
+      ([ "cost"; "Cost"; "COST" ], Algo.Core Cost);
+      ([ "exttsp"; "ExtTsp"; "EXTTSP" ], Algo.Core ExtTsp);
+      ([ "try15"; "Try15"; "TRY15" ], Algo.Core (Tryn 15));
+      ([ "try1"; "Try1" ], Algo.Core (Tryn 1));
+      ([ "anneal"; "Anneal"; "ANNEAL" ], Algo.Anneal);
+    ];
+  List.iter
+    (fun algo ->
+      Alcotest.(check (result algo_t string))
+        ("name read back: " ^ Algo.name algo)
+        (Ok algo)
+        (Algo.of_name (Algo.name algo)))
+    [
+      Algo.Core Original; Algo.Core Greedy; Algo.Core Cost; Algo.Core ExtTsp;
+      Algo.Core (Tryn 5); Algo.Core (Tryn 15); Algo.Anneal;
+    ];
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) (bad ^ " refused") true
+        (Result.is_error (Algo.of_name bad)))
+    [ "try0"; "try-1"; "try"; "tryx"; "nosuch"; "" ]
+
+let rec span_names (s : Ba_obs.Registry.span) =
+  s.Ba_obs.Registry.name :: List.concat_map span_names s.Ba_obs.Registry.children
+
+let test_algo_original_image () =
+  let program, profile =
+    Ba_workloads.Profiled.get ~max_steps:wall_steps (Matrix.workload "gcc")
+  in
+  let r = Ba_obs.Registry.create () in
+  let image =
+    Ba_obs.Registry.with_registry r (fun () ->
+        Algo.image (Algo.Core Ba_core.Align.Original)
+          ~arch:Ba_core.Cost_model.Btb profile)
+  in
+  let shape (i : Ba_layout.Image.t) =
+    ( i.Ba_layout.Image.bases,
+      i.Ba_layout.Image.total_size,
+      Array.map
+        (fun (l : Ba_layout.Linear.t) ->
+          (l.Ba_layout.Linear.decision, l.Ba_layout.Linear.blocks))
+        i.Ba_layout.Image.linears )
+  in
+  Alcotest.(check bool) "equals Image.original ~profile" true
+    (shape image = shape (Ba_layout.Image.original ~profile program));
+  Alcotest.(check (list string)) "no align span, only the lowering"
+    [ "lower" ]
+    (List.concat_map span_names (Ba_obs.Registry.spans r))
+
+let test_algo_anneal_pool () =
+  let _, profile =
+    Ba_workloads.Profiled.get ~max_steps:wall_steps (Matrix.workload "eqntott")
+  in
+  let anneal ?pool () =
+    Algo.decisions ?pool ~seed:7 Algo.Anneal ~arch:Ba_core.Cost_model.Btfnt
+      profile
+  in
+  let inline = anneal () in
+  check_same_decisions "pool of 2 = inline" inline
+    (Ba_par.Pool.with_pool ~jobs:2 (fun pool -> anneal ~pool ()));
+  check_same_decisions "= Anneal.align_program" inline
+    (Anneal.align_program ~seed:7 ~arch:Ba_core.Cost_model.Btfnt profile)
+
+(* ------------------------------------------------------------------ *)
 
 let suites =
   [
@@ -567,5 +647,14 @@ let suites =
           test_anneal_deterministic;
         Alcotest.test_case "never worse than Greedy under the model" `Slow
           test_anneal_never_worse;
+      ] );
+    ( "delta.algo",
+      [
+        Alcotest.test_case "every spelling and name round-trips" `Quick
+          test_algo_names;
+        Alcotest.test_case "Core Original is Image.original" `Quick
+          test_algo_original_image;
+        Alcotest.test_case "anneal decisions ignore the pool" `Quick
+          test_algo_anneal_pool;
       ] );
   ]

@@ -35,8 +35,8 @@ let to_alcotest test =
 (* Bit-equality: Alcotest's float testable with a zero epsilon. *)
 let exact = Alcotest.float 0.0
 
-let exttsp_decisions ~profile program =
-  Matrix.decisions_for ~profile program Align.ExtTsp
+let exttsp_decisions ~profile =
+  Matrix.decisions_for ~profile Align.ExtTsp
     ~arch:(Matrix.arch_for Align.ExtTsp)
 
 (* ------------------------------------------------------------------ *)
@@ -109,9 +109,9 @@ let test_incremental_wall () =
 
 let test_never_worse_than_greedy () =
   Matrix.iter_traced (fun w program profile _trace ->
-      let ext = exttsp_decisions ~profile program in
+      let ext = exttsp_decisions ~profile in
       let greedy =
-        Matrix.decisions_for ~profile program Align.Greedy
+        Matrix.decisions_for ~profile Align.Greedy
           ~arch:(Matrix.arch_for Align.Greedy)
       in
       for pid = 0 to Ba_ir.Program.n_procs program - 1 do
@@ -131,7 +131,7 @@ let test_never_worse_than_greedy () =
 let test_verify_wall () =
   let images = ref 0 and certs = ref 0 in
   Matrix.iter_traced (fun w program profile _trace ->
-      let decisions = exttsp_decisions ~profile program in
+      let decisions = exttsp_decisions ~profile in
       let plain = Ba_layout.Image.build ~profile program decisions in
       let ip = Ba_layout.Image.build_interproc ~profile program decisions in
       List.iter
@@ -219,7 +219,7 @@ let check_static_penalties ~what ~max_steps ~trace ~profile plain stitched =
 
 let test_stitching_invariants () =
   Matrix.iter_traced (fun w program profile trace ->
-      let decisions = exttsp_decisions ~profile program in
+      let decisions = exttsp_decisions ~profile in
       let plain = Ba_layout.Image.build ~profile program decisions in
       let ip = Ba_layout.Image.build_interproc ~profile program decisions in
       let stitched = ip.Ba_layout.Image.image in
@@ -260,7 +260,7 @@ let check_program name program =
   let profile, trace =
     Ba_trace.Record.profile_and_record ~max_steps:qcheck_steps program
   in
-  let decisions = exttsp_decisions ~profile program in
+  let decisions = exttsp_decisions ~profile in
   let plain = Ba_layout.Image.build ~profile program decisions in
   let ip = Ba_layout.Image.build_interproc ~profile program decisions in
   let stitched = ip.Ba_layout.Image.image in
@@ -441,7 +441,7 @@ let prop_nine_spec_differential =
       let profile, trace =
         Ba_trace.Record.profile_and_record ~max_steps:qcheck_steps program
       in
-      let decisions = exttsp_decisions ~profile program in
+      let decisions = exttsp_decisions ~profile in
       let ev = Ba_delta.Eval.create ~specs:specs9 profile trace decisions in
       let got = Ba_delta.Eval.cost ev decisions in
       let image = Ba_layout.Image.build ~profile program decisions in
@@ -474,7 +474,7 @@ let prop_interproc_random =
       let profile, trace =
         Ba_trace.Record.profile_and_record ~max_steps:qcheck_steps program
       in
-      let decisions = exttsp_decisions ~profile program in
+      let decisions = exttsp_decisions ~profile in
       let plain = Ba_layout.Image.build ~profile program decisions in
       let ip = Ba_layout.Image.build_interproc ~profile program decisions in
       let stitched = ip.Ba_layout.Image.image in

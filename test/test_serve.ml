@@ -305,6 +305,51 @@ let test_histogram_quantile () =
     (Ba_obs.Histogram.quantile empty 0.5)
 
 (* ------------------------------------------------------------------ *)
+(* The handler                                                         *)
+
+(* Every compute kind but verify takes the annealing search; verify
+   proves and certifies Ba_core.Align algorithms only and answers an
+   error.  Simulate and align score the same annealed layout, so
+   simulate's BTB-256/4 row carries align's exact penalty cycles. *)
+let test_handler_anneal () =
+  let call kind =
+    Ba_serve.Handler.handle
+      (P.request ~workload:"eqntott" ~algo:"Anneal" ~arch:"btb"
+         ~max_steps:4000 ~id:1 kind)
+  in
+  let bodies =
+    List.map
+      (fun (name, kind) ->
+        let r = call kind in
+        Alcotest.(check bool) (name ^ " ok") true (r.P.status = P.Ok_);
+        Alcotest.(check (option string))
+          (name ^ " names anneal") (Some "anneal")
+          (Option.bind (J.member "algo" r.P.body) J.to_string_opt);
+        r.P.body)
+      [ ("align", P.Align); ("simulate", P.Simulate); ("analyze", P.Analyze) ]
+  in
+  (match (call P.Verify).P.status with
+  | P.Error_ msg ->
+    Alcotest.(check string) "verify refuses anneal"
+      "verify does not accept the anneal search" msg
+  | P.Ok_ | P.Overloaded -> Alcotest.fail "verify must refuse anneal");
+  let int_of name j = Option.bind (J.member name j) J.to_int_opt in
+  let btb256 =
+    match J.member "architectures" (List.nth bodies 1) with
+    | Some (J.List archs) ->
+      List.find_map
+        (fun a ->
+          if Option.bind (J.member "label" a) J.to_string_opt = Some "BTB-256/4"
+          then int_of "bep_cycles" a
+          else None)
+        archs
+    | _ -> None
+  in
+  Alcotest.(check (option int)) "simulate's BTB-256/4 = align's penalty"
+    (int_of "penalty_cycles" (List.hd bodies))
+    btb256
+
+(* ------------------------------------------------------------------ *)
 (* The server, end to end                                              *)
 
 let socket_path =
@@ -377,21 +422,30 @@ let test_server_ping_align_metrics () =
    warm cache — each driven by two client connections on their own domains,
    pipelining their share.  Every reply must be ok, every body
    byte-identical across the three waves, and the warm wave must be served
-   from the trace cache alone: it records no trace. *)
+   from the trace cache alone: it records no trace.  The table rotates
+   kinds, algorithms and cost models over four workloads, then adds the
+   annealing search on the kinds that take it besides align. *)
 let test_server_jobs_byte_identical () =
   let kinds = [| P.Align; P.Simulate; P.Verify; P.Analyze |] in
   let algos = [| "try15"; "greedy"; "cost"; "exttsp"; "orig" |] in
   let arches = [| "btfnt"; "fallthrough"; "pht" |] in
   let workloads = [| "wave5"; "alvinn"; "eqntott"; "sc" |] in
-  let n = Array.length kinds * Array.length workloads in
+  let mixed = Array.length kinds * Array.length workloads in
+  let annealed = [| (P.Simulate, "eqntott"); (P.Analyze, "sc") |] in
+  let n = mixed + Array.length annealed in
   let requests =
     Array.init n (fun id ->
-        P.request
-          ~workload:workloads.(id / Array.length kinds)
-          ~algo:algos.(id mod Array.length algos)
-          ~arch:arches.(id mod Array.length arches)
-          ~max_steps:4000 ~id
-          kinds.(id mod Array.length kinds))
+        if id < mixed then
+          P.request
+            ~workload:workloads.(id / Array.length kinds)
+            ~algo:algos.(id mod Array.length algos)
+            ~arch:arches.(id mod Array.length arches)
+            ~max_steps:4000 ~id
+            kinds.(id mod Array.length kinds)
+        else
+          let kind, workload = annealed.(id - mixed) in
+          P.request ~workload ~algo:"anneal" ~arch:"btb" ~max_steps:4000 ~id
+            kind)
   in
   let connections = 2 in
   let misses () = (Ba_workloads.Profiled.lru_stats ()).Lru.misses in
@@ -533,6 +587,11 @@ let suites =
         Alcotest.test_case "equal digests share one trace record" `Quick
           test_equal_digest_shares_record;
         Alcotest.test_case "histogram quantile" `Quick test_histogram_quantile;
+      ] );
+    ( "serve.handler",
+      [
+        Alcotest.test_case "anneal on every kind but verify" `Quick
+          test_handler_anneal;
       ] );
     ( "serve.server",
       [
