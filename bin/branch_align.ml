@@ -10,22 +10,9 @@
 
 open Cmdliner
 
-(* Every command takes a Ba_delta.Algo.t except lint and verify: their
-   checkers (Run.check_pipeline, Run.verify_pipeline, Bound.Lint.check)
-   take a Ba_core.Align algorithm, so they refuse anneal at parse time. *)
 let algo_conv =
   let parse s = Result.map_error (fun e -> `Msg e) (Ba_delta.Algo.of_name s) in
   let print ppf a = Fmt.string ppf (Ba_delta.Algo.name a) in
-  Arg.conv (parse, print)
-
-let core_algo_conv =
-  let parse s =
-    match Ba_delta.Algo.of_name s with
-    | Ok (Ba_delta.Algo.Core a) -> Ok a
-    | Ok Ba_delta.Algo.Anneal -> Error (`Msg "lint and verify do not accept anneal")
-    | Error e -> Error (`Msg e)
-  in
-  let print ppf a = Fmt.string ppf (Ba_core.Align.algo_name a) in
   Arg.conv (parse, print)
 
 let arch_conv =
@@ -49,28 +36,16 @@ let algo_arg =
     & opt algo_conv (Ba_delta.Algo.Core (Ba_core.Align.Tryn 15))
     & info [ "algo" ] ~doc)
 
-let core_algo_arg =
-  let doc =
-    "Alignment algorithm: orig, greedy, cost, exttsp, or tryN (e.g. try15)."
-  in
-  Arg.(
-    value & opt core_algo_conv (Ba_core.Align.Tryn 15) & info [ "algo" ] ~doc)
-
 let arch_arg =
   let doc = "Architectural cost model: fallthrough, btfnt, likely, pht, btb." in
   Arg.(value & opt arch_conv Ba_core.Cost_model.Btfnt & info [ "arch" ] ~doc)
 
 let max_steps_arg =
   let doc = "Execution budget in semantic block visits." in
-  Arg.(value & opt int Ba_workloads.Spec.default_max_steps & info [ "max-steps" ] ~doc)
-
-(* -j rejects zero/negative/garbage at parse time, mirroring the strict
-   BA_JOBS handling: a bad job count is an error, never a silent default. *)
-let jobs_conv =
-  let parse s =
-    Result.map_error (fun e -> `Msg e) (Ba_par.Pool.jobs_of_string s)
-  in
-  Arg.conv (parse, Fmt.int)
+  Arg.(
+    value
+    & opt Cli.positive Ba_workloads.Spec.default_max_steps
+    & info [ "max-steps" ] ~doc)
 
 let jobs_arg =
   let doc =
@@ -78,7 +53,7 @@ let jobs_arg =
      machine's domain count; 1 forces the sequential path).  Diagnostics, \
      certificates and exit codes are identical for every value."
   in
-  Arg.(value & opt (some jobs_conv) None & info [ "j"; "jobs" ] ~doc)
+  Arg.(value & opt (some Cli.jobs) None & info [ "j"; "jobs" ] ~doc)
 
 let lookup name =
   match Ba_workloads.Spec.by_name name with
@@ -434,7 +409,7 @@ let print_report ~command ~verb ~algo ~arch ~strict ~format ?(failed = false)
          (Obj
             [
               ("command", String command);
-              ("algo", String (Ba_core.Align.algo_name algo));
+              ("algo", String (Ba_delta.Algo.name algo));
               ("arch", String (Ba_core.Cost_model.arch_name arch));
               ( "totals",
                 Obj
@@ -456,7 +431,7 @@ let print_report ~command ~verb ~algo ~arch ~strict ~format ?(failed = false)
        warning%s, %d info\n"
       verb (List.length rows)
       (plural (List.length rows))
-      (Ba_core.Align.algo_name algo)
+      (Ba_delta.Algo.name algo)
       (Ba_core.Cost_model.arch_name arch)
       !total_errors (plural !total_errors) !total_warnings (plural !total_warnings)
       !total_infos);
@@ -470,46 +445,8 @@ let lint_cmd workload algo arch strict format max_steps jobs =
     Ba_par.Pool.with_pool ?jobs (fun pool ->
         Ba_par.Pool.map pool
           (fun (w : Ba_workloads.Spec.t) ->
-            let program, profile = Ba_workloads.Profiled.get ~max_steps w in
-            let report =
-              Ba_analysis.Run.check_pipeline ~arch ~max_steps ~profile ~algo
-                program
-            in
-            (* Extension stages: the conflict analyser, the optimality
-               auditor and the static bound checker all need the lowered
-               image, so they run only when the five built-in stages are
-               error-free. *)
-            let report =
-              if Ba_analysis.Run.error_count report > 0 then report
-              else begin
-                let image =
-                  Ba_delta.Algo.image (Ba_delta.Algo.Core algo) ~arch profile
-                in
-                let conflict = Ba_conflict.Lint.check ~profile image in
-                let audit =
-                  List.concat
-                    (List.init (Ba_ir.Program.n_procs program) (fun p ->
-                         Ba_verify.Audit.check ~arch
-                           ~visits:(fun b -> Ba_cfg.Profile.visits profile p b)
-                           ~cond_counts:(fun b ->
-                             Ba_cfg.Profile.cond_counts profile p b)
-                           ~proc_id:p
-                           image.Ba_layout.Image.linears.(p)))
-                in
-                let bound = Ba_bound.Lint.check ~algo ~arch ~profile image in
-                {
-                  report with
-                  Ba_analysis.Run.stages =
-                    report.Ba_analysis.Run.stages
-                    @ [
-                        (Ba_analysis.Run.Conflict, conflict);
-                        (Ba_analysis.Run.Audit, audit);
-                        (Ba_analysis.Run.Bound, bound);
-                      ];
-                }
-              end
-            in
-            (w, report))
+            let _program, profile = Ba_workloads.Profiled.get ~max_steps w in
+            (w, Ba_verify.Run.lint ~arch ~profile algo))
           workloads)
   in
   print_report ~command:"lint" ~verb:"linted" ~algo ~arch ~strict ~format
@@ -545,23 +482,23 @@ let verify_cmd workload algo arch strict no_audit interproc format max_steps job
   let workloads =
     match workload with Some name -> [ lookup name ] | None -> Ba_workloads.Spec.all
   in
-  (* The pool is handed both to the per-workload map and to each
-     verify_pipeline: with many workloads the outer map parallelises and
-     the inner per-architecture certification runs inline; with a single
-     workload the outer map short-circuits and the five architectures
-     certify in parallel instead. *)
+  (* The pool is handed both to the per-workload map and to each verify:
+     with many workloads the outer map parallelises and the inner
+     per-architecture certification runs inline; with a single workload
+     the outer map short-circuits and the five architectures certify in
+     parallel instead. *)
   let results =
     Ba_par.Pool.with_pool ?jobs (fun pool ->
         Ba_par.Pool.map pool
           (fun (w : Ba_workloads.Spec.t) ->
             (* The memoized traced run: the profile feeds the pipeline and
                the trace lets the auditor quote simulator-exact figures. *)
-            let program, profile, trace =
+            let _program, profile, trace =
               Ba_workloads.Profiled.get_traced ~max_steps w
             in
             ( w,
-              Ba_verify.Run.verify_pipeline ~arch ~max_steps ~profile ~trace
-                ~audit:(not no_audit) ~interproc ~algo ~pool program ))
+              Ba_verify.Run.verify ~pool ~audit:(not no_audit) ~interproc
+                ~trace ~arch ~profile algo ))
           workloads)
   in
   let unverified =
@@ -635,22 +572,22 @@ let analyze_eval ~max_steps ~do_place (w, al, ar) =
     else begin
       let place = Ba_conflict.Place.improve ~arch:ar ~profile program decisions in
       (* Placement perturbed the layout; prove the perturbed image is still
-         the same program (bisimulation) and still priced correctly (cost
-         certification) before trusting its conflict numbers. *)
-      let bisim, _certs, cert_diags, _audit =
-        Ba_verify.Run.verify_image ~audit:false
+         the same program (address map and bisimulation) and still priced
+         correctly (cost certification) before trusting its conflict
+         numbers. *)
+      let proof =
+        Ba_verify.Run.verify_image
           ~workload:w.Ba_workloads.Spec.name
           ~algo:(Ba_delta.Algo.name al) ~profile
           place.Ba_conflict.Place.image
       in
-      let errs, _, _ = Ba_analysis.Diagnostic.count (bisim @ cert_diags) in
       Some
         {
           p_before = place.Ba_conflict.Place.before;
           p_after = place.Ba_conflict.Place.after;
           p_swaps = place.Ba_conflict.Place.swaps;
           p_pads = Array.fold_left ( + ) 0 place.Ba_conflict.Place.pads;
-          p_verified = errs = 0;
+          p_verified = proof.Ba_verify.Run.verified;
         }
     end
   in
@@ -804,7 +741,9 @@ type bound_cell = {
 let bound_eval ~max_steps (w, al, ar) =
   let _program, profile = Ba_workloads.Profiled.get ~max_steps w in
   let image = Ba_delta.Algo.image al ~arch:ar profile in
-  let sim_arch = Ba_bound.Analyze.arch_of_model ar ~profile image in
+  let sim_arch =
+    Ba_delta.Eval.to_arch (Ba_delta.Eval.spec_of_model ar) ~image ~profile
+  in
   {
     b_workload = w;
     b_algo = al;
@@ -1182,9 +1121,11 @@ let () =
     Cmd.v
       (Cmd.info "lint"
          ~doc:
-           "Run the five-stage static checker (IR, profile, decision, linear, \
-            image) over the whole alignment pipeline; exits non-zero on any error.")
-      Term.(const lint_cmd $ workload_opt_arg $ core_algo_arg $ arch_arg $ strict_arg
+           "Run the static checker over the whole alignment pipeline: the five \
+            built-in stages (IR, profile, decision, linear, image), then the \
+            conflict, audit and bound stages on the checked image; exits \
+            non-zero on any error.")
+      Term.(const lint_cmd $ workload_opt_arg $ algo_arg $ arch_arg $ strict_arg
             $ format_arg $ max_steps_arg $ jobs_arg)
   in
   let verify =
@@ -1210,7 +1151,7 @@ let () =
             architecture against an independent recomputation, and audit it \
             for locally improvable decisions; exits non-zero unless every \
             workload verifies.")
-      Term.(const verify_cmd $ workload_opt_arg $ core_algo_arg $ arch_arg
+      Term.(const verify_cmd $ workload_opt_arg $ algo_arg $ arch_arg
             $ strict_arg $ no_audit_arg $ interproc_arg $ format_arg
             $ max_steps_arg $ jobs_arg)
   in
@@ -1231,11 +1172,11 @@ let () =
         "Admission-queue bound; requests beyond it are answered \
          $(b,overloaded) immediately."
       in
-      Arg.(value & opt int 256 & info [ "queue-len" ] ~doc)
+      Arg.(value & opt Cli.positive 256 & info [ "queue-len" ] ~doc)
     in
     let batch_max_arg =
       let doc = "Maximum requests dispatched per pool batch." in
-      Arg.(value & opt int 64 & info [ "batch-max" ] ~doc)
+      Arg.(value & opt Cli.positive 64 & info [ "batch-max" ] ~doc)
     in
     Cmd.v
       (Cmd.info "serve"

@@ -39,19 +39,14 @@ let select ?(defaults = Ba_workloads.Spec.all) = function
 
 let max_steps_arg =
   let doc = "Execution budget in semantic block visits per run." in
-  Arg.(value & opt int Ba_workloads.Spec.default_max_steps & info [ "max-steps" ] ~doc)
+  Arg.(
+    value
+    & opt Cli.positive Ba_workloads.Spec.default_max_steps
+    & info [ "max-steps" ] ~doc)
 
 let only_arg =
   let doc = "Comma-separated workload names to evaluate (default: all 24)." in
   Arg.(value & opt only_conv [] & info [ "only" ] ~doc)
-
-(* Strict job-count parsing, shared with BA_JOBS: zero, negative and
-   garbage values are command-line errors, never silent defaults. *)
-let jobs_conv =
-  let parse s =
-    Result.map_error (fun e -> `Msg e) (Ba_par.Pool.jobs_of_string s)
-  in
-  Arg.conv (parse, Fmt.int)
 
 let jobs_arg =
   let doc =
@@ -59,7 +54,7 @@ let jobs_arg =
      machine's domain count; 1 forces the sequential path).  Output is \
      byte-identical for every value."
   in
-  Arg.(value & opt (some jobs_conv) None & info [ "j"; "jobs" ] ~doc)
+  Arg.(value & opt (some Cli.jobs) None & info [ "j"; "jobs" ] ~doc)
 
 let timings_arg =
   let doc = "After the figures, print per-workload evaluation wall times." in

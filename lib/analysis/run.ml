@@ -14,10 +14,9 @@ let core_stages = [ Ir; Profile; Decision; Linear; Image ]
 let all_stages = core_stages @ [ Conflict; Audit; Bound ]
 
 type report = {
-  program_name : string;
-  algo : Ba_core.Align.algo;
-  arch : Ba_core.Cost_model.arch;
   stages : (stage * Diagnostic.t list) list;
+  decisions : Ba_layout.Decision.t array option;
+  image : Ba_layout.Image.t option;
 }
 
 let diagnostics r = Diagnostic.sort (List.concat_map snd r.stages)
@@ -30,48 +29,46 @@ let ran r stage = List.mem_assoc stage r.stages
 
 let has_errors diags = List.exists Diagnostic.is_error diags
 
-let check_layout ?profile (program : Ba_ir.Program.t) decisions =
+(* Stages 3-5, and the image they lowered when the decisions allowed it. *)
+let layout_stages ~profile (program : Ba_ir.Program.t) decisions =
   let n = Ba_ir.Program.n_procs program in
   if Array.length decisions <> n then
-    invalid_arg "Run.check_layout: one decision per procedure required";
+    invalid_arg "Run.check_pipeline: one decision per procedure required";
   let decision_diags =
     List.concat
       (List.init n (fun pid ->
            Check_decision.check ~proc_id:pid (Ba_ir.Program.proc program pid)
              decisions.(pid)))
   in
-  if has_errors decision_diags then [ (Decision, decision_diags) ]
+  if has_errors decision_diags then ([ (Decision, decision_diags) ], None)
   else begin
-    let image = Ba_layout.Image.build ?profile program decisions in
+    let image = Ba_layout.Image.build ~profile program decisions in
     let linear_diags =
       List.concat
         (List.init n (fun pid ->
              Check_linear.check ~proc_id:pid image.Ba_layout.Image.linears.(pid)))
     in
-    [
-      (Decision, decision_diags);
-      (Linear, linear_diags);
-      (Image, Check_image.check image);
-    ]
+    ( [
+        (Decision, decision_diags);
+        (Linear, linear_diags);
+        (Image, Check_image.check image);
+      ],
+      Some image )
   end
 
-let check_pipeline ?(arch = Ba_core.Cost_model.Btfnt) ?max_steps ?profile ~algo
-    (program : Ba_ir.Program.t) =
+let check_pipeline ~profile ~align (program : Ba_ir.Program.t) =
+  if Ba_cfg.Profile.program profile != program then
+    invalid_arg "Run.check_pipeline: profile of a different program";
   let ir_diags = Check_ir.check_program program in
-  let stages =
-    if has_errors ir_diags then [ (Ir, ir_diags) ]
-    else begin
-      let profile =
-        match profile with
-        | Some p ->
-          if Ba_cfg.Profile.program p != program then
-            invalid_arg "Run.check_pipeline: profile of a different program";
-          p
-        | None -> Ba_exec.Engine.profile_program ?max_steps program
-      in
-      let profile_diags = Check_profile.check profile in
-      let decisions = Ba_core.Align.align_program algo ~arch profile in
-      (Ir, ir_diags) :: (Profile, profile_diags) :: check_layout ~profile program decisions
-    end
-  in
-  { program_name = program.Ba_ir.Program.name; algo; arch; stages }
+  if has_errors ir_diags then
+    { stages = [ (Ir, ir_diags) ]; decisions = None; image = None }
+  else begin
+    let profile_diags = Check_profile.check profile in
+    let decisions = align profile in
+    let stages, image = layout_stages ~profile program decisions in
+    {
+      stages = (Ir, ir_diags) :: (Profile, profile_diags) :: stages;
+      decisions = Some decisions;
+      image;
+    }
+  end

@@ -57,10 +57,12 @@ let cond_identity ~mf ~mp ~w_t ~w_f (m : Domain.interval) =
   let hi = (mf * w_t) + (mp * on_fall) + ((mp - mf) * (m_hi - on_fall)) in
   Domain.make lo hi
 
-let analyze ?(penalties = Bep.default_penalties) ?(return_stack_depth = 32)
-    ~arch ~profile image =
+(* The simulators' return-stack depth (Bep.create's default). *)
+let return_stack_depth = 32
+
+let analyze ~arch ~profile image =
   Ba_obs.Span.with_ "bound" @@ fun () ->
-  let mf = penalties.Bep.misfetch and mp = penalties.Bep.mispredict in
+  let mf = Bep.penalties.Bep.misfetch and mp = Bep.penalties.Bep.mispredict in
   let summary = Site.extract ~profile image in
   let bases = image.Image.bases in
   let main = image.Image.program.Ba_ir.Program.main in
@@ -238,17 +240,4 @@ let analyze ?(penalties = Bep.default_penalties) ?(return_stack_depth = 32)
   Ba_obs.Counter.add m_upper total.Domain.hi;
   { arch; rows; extra_lo; total }
 
-let bounds ?penalties ?return_stack_depth ~arch ~profile image =
-  (analyze ?penalties ?return_stack_depth ~arch ~profile image).total
-
-(* The harness's canonical simulated architecture for each cost-model arch;
-   LIKELY hint bits are image-derived, exactly as Harness.run_image builds
-   them. *)
-let arch_of_model model ~profile image =
-  match model with
-  | Ba_core.Cost_model.Fallthrough -> Bep.Static_fallthrough
-  | Ba_core.Cost_model.Btfnt -> Bep.Static_btfnt
-  | Ba_core.Cost_model.Likely ->
-    Bep.Static_likely (Likely_bits.build image profile)
-  | Ba_core.Cost_model.Pht -> Bep.Pht_direct { entries = 4096 }
-  | Ba_core.Cost_model.Btb -> Bep.Btb_arch { entries = 256; assoc = 4 }
+let bounds ~arch ~profile image = (analyze ~arch ~profile image).total

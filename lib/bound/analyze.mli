@@ -51,30 +51,15 @@ type t = {
 }
 
 val analyze :
-  ?penalties:Ba_sim.Bep.penalties ->
-  ?return_stack_depth:int ->
-  arch:Ba_sim.Bep.arch ->
-  profile:Ba_cfg.Profile.t ->
-  Ba_layout.Image.t ->
-  t
-(** For [Static_likely], the likely bits must have been built from this
-    same image ({!Ba_predict.Likely_bits.build}), as the harness does. *)
+  arch:Ba_sim.Bep.arch -> profile:Ba_cfg.Profile.t -> Ba_layout.Image.t -> t
+(** Prices with the simulators' penalties ({!Ba_sim.Bep.penalties}) and
+    their 32-entry return stack.  For [Static_likely], the likely bits
+    must have been built from this same image
+    ({!Ba_predict.Likely_bits.build}), as the harness does. *)
 
 val bounds :
-  ?penalties:Ba_sim.Bep.penalties ->
-  ?return_stack_depth:int ->
   arch:Ba_sim.Bep.arch ->
   profile:Ba_cfg.Profile.t ->
   Ba_layout.Image.t ->
   Domain.interval
 (** Just the whole-layout interval of {!analyze}. *)
-
-val arch_of_model :
-  Ba_core.Cost_model.arch ->
-  profile:Ba_cfg.Profile.t ->
-  Ba_layout.Image.t ->
-  Ba_sim.Bep.arch
-(** The harness's canonical simulated architecture for a cost-model arch
-    (LIKELY builds its hint bits from the given image, as the harness
-    does); used by the [bound] lint stage and the optimality-gap report to
-    pair a cost model with the simulator that judges it. *)

@@ -7,13 +7,20 @@ let wide_ratio = 2
 let wide_cycles = 64
 
 let all_algos =
-  [ Ba_core.Align.Original; Ba_core.Align.Greedy; Ba_core.Align.Cost;
-    Ba_core.Align.Tryn 15 ]
+  List.map
+    (fun a -> Ba_delta.Algo.Core a)
+    [ Ba_core.Align.Original; Ba_core.Align.Greedy; Ba_core.Align.Cost;
+      Ba_core.Align.Tryn 15 ]
+
+(* The static bounds of [image] under the simulator that judges [arch]. *)
+let bounds ~arch ~profile image =
+  let sim_arch =
+    Ba_delta.Eval.to_arch (Ba_delta.Eval.spec_of_model arch) ~image ~profile
+  in
+  (sim_arch, Analyze.bounds ~arch:sim_arch ~profile image)
 
 let check ~algo ~arch ~profile image =
-  let program = image.Ba_layout.Image.program in
-  let sim_arch = Analyze.arch_of_model arch ~profile image in
-  let this = Analyze.bounds ~arch:sim_arch ~profile image in
+  let sim_arch, this = bounds ~arch ~profile image in
   let label = Ba_sim.Bep.arch_label sim_arch in
   let wide =
     let lo = this.Domain.lo and hi = this.Domain.hi in
@@ -34,10 +41,9 @@ let check ~algo ~arch ~profile image =
       (fun other ->
         if other = algo then None
         else begin
-          let decisions = Ba_core.Align.align_program other ~arch profile in
-          let image' = Ba_layout.Image.build ~profile program decisions in
-          let other_arch = Analyze.arch_of_model arch ~profile image' in
-          let b = Analyze.bounds ~arch:other_arch ~profile image' in
+          let _, b =
+            bounds ~arch ~profile (Ba_delta.Algo.image other ~arch profile)
+          in
           if b.Domain.hi < this.Domain.lo then
             Some
               (Diagnostic.make Diagnostic.Info ~rule:"bound/provably-suboptimal"
@@ -45,7 +51,7 @@ let check ~algo ~arch ~profile image =
                  "%s: provably suboptimal — %s's upper bound %d beats this \
                   layout's lower bound %d (certified %d+ cycles away)"
                  label
-                 (Ba_core.Align.algo_name other)
+                 (Ba_delta.Algo.name other)
                  b.Domain.hi this.Domain.lo
                  (this.Domain.lo - b.Domain.hi))
           else None

@@ -11,11 +11,13 @@
     Merged into [branch_align lint] as the [bound] extension stage. *)
 
 val check :
-  algo:Ba_core.Align.algo ->
+  algo:Ba_delta.Algo.t ->
   arch:Ba_core.Cost_model.arch ->
   profile:Ba_cfg.Profile.t ->
   Ba_layout.Image.t ->
   Ba_analysis.Diagnostic.t list
 (** [image] must be [algo]'s layout under [arch]; the rule compares it
-    against the other three algorithms' layouts rebuilt from the same
-    profile. *)
+    against the layouts of orig, greedy, cost and try15 (those that are
+    not [algo]) rebuilt from the same profile.  Each layout is judged by
+    its cost model's canonical simulated configuration
+    ({!Ba_delta.Eval.spec_of_model}). *)

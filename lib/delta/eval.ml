@@ -50,8 +50,9 @@ let spec_label = function
     Printf.sprintf "pag%d/%d" history_bits branch_entries
   | Btb { entries; assoc } -> Printf.sprintf "btb%d/%d" entries assoc
 
-(* The same mapping as [Ba_bound.Analyze.arch_of_model] / the gap study:
-   each cost-model architecture's canonical simulated configuration. *)
+(* Each cost-model architecture's canonical simulated configuration, for
+   every surface that pairs a cost model with the simulator judging it:
+   the align listing, the audit, the gap study and the bound lint. *)
 let spec_of_model = function
   | Ba_core.Cost_model.Fallthrough -> Fallthrough
   | Ba_core.Cost_model.Btfnt -> Btfnt
@@ -88,10 +89,10 @@ type geom = {
   bpc : int array;  (* site -> branch pc (addr + insns) *)
 }
 
-(* The simulator's defaults: the paper's penalties (1/4) and a 32-entry
+(* The simulator's penalties (the paper's 1/4) and its default 32-entry
    return stack, as Runner.simulate uses; entry-scoped direct-PHT replay
    prices at most [scoped_max] changed sites. *)
-let penalties = Bep.default_penalties
+let penalties = Bep.penalties
 let ras_depth = 32
 let scoped_max = 32
 
@@ -375,7 +376,7 @@ let table_cond_penalty t geom ix spec =
 let machine_run t geom arch =
   t.stats.machine_runs <- t.stats.machine_runs + 1;
   let sim =
-    Bep.create ~penalties ~return_stack_depth:ras_depth arch
+    Bep.create ~return_stack_depth:ras_depth arch
   in
   let st = t.stream and fl = geom.flat in
   let scratch = { Ba_exec.Event.pc = 0; target = 0; kind = Ba_exec.Event.Uncond } in

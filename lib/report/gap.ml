@@ -46,7 +46,10 @@ let evaluate ?max_steps ?(k = 4) (workload : Ba_workloads.Spec.t) =
         let bep decisions = Ba_delta.Eval.cost_arch ev 0 decisions in
         let bounds decisions =
           let image = Ba_layout.Image.build ~profile program decisions in
-          let arch = Ba_bound.Analyze.arch_of_model model ~profile image in
+          let arch =
+            Ba_delta.Eval.to_arch (Ba_delta.Eval.spec_of_model model) ~image
+              ~profile
+          in
           let i = Ba_bound.Analyze.bounds ~arch ~profile image in
           (i.Ba_bound.Domain.lo, i.Ba_bound.Domain.hi)
         in

@@ -31,19 +31,12 @@ let evaluate ?max_steps (workload : Ba_workloads.Spec.t) =
     ip.Ba_layout.Image.splits;
   let stitched_image = ip.Ba_layout.Image.image in
   (* The stitched layout is proved, not trusted: per-procedure
-     bisimulation plus cost certificates (verify_image), and the
-     whole-image address map — stitched order, one cold section, no
-     overlaps — by Check_image. *)
-  let bisim, certificates, cert_diags, _audit =
-    Ba_verify.Run.verify_image ~audit:false ~trace
+     bisimulation, cost certificates and the whole-image address map —
+     stitched order, one cold section, no overlaps. *)
+  let proof =
+    Ba_verify.Run.verify_image
       ~workload:workload.Ba_workloads.Spec.name ~algo:(Align.algo_name Align.ExtTsp)
       ~profile stitched_image
-  in
-  let image_diags = Ba_analysis.Check_image.check stitched_image in
-  let verified =
-    bisim = [] && cert_diags = []
-    && not (List.exists Ba_analysis.Diagnostic.is_error image_diags)
-    && certificates <> []
   in
   let penalties image = Placement.penalties ~max_steps ~profile ~trace image in
   {
@@ -51,7 +44,7 @@ let evaluate ?max_steps (workload : Ba_workloads.Spec.t) =
     procs = n;
     split_procs = !split_procs;
     cold_insns = stitched_image.Ba_layout.Image.total_size - ip.Ba_layout.Image.hot_size;
-    verified;
+    verified = proof.Ba_verify.Run.verified;
     plain = penalties plain_image;
     stitched = penalties stitched_image;
   }

@@ -122,22 +122,11 @@ let simulate_body ~w ~algo ~arch ~max_steps =
         ("architectures", Json.List sims);
       ])
 
-(* Verification proves and certifies Ba_core.Align algorithms only, as
-   the CLI's verify command does. *)
 let verify_body ~w ~algo ~arch ~max_steps =
-  let core =
-    match algo with
-    | Ba_delta.Algo.Core a -> a
-    | Ba_delta.Algo.Anneal ->
-      invalid_arg "verify does not accept the anneal search"
-  in
-  let program, profile, trace =
+  let _program, profile, trace =
     Ba_workloads.Profiled.get_traced ~max_steps w
   in
-  let result =
-    Ba_verify.Run.verify_pipeline ~arch ~max_steps ~profile ~trace ~audit:true
-      ~algo:core program
-  in
+  let result = Ba_verify.Run.verify ~trace ~arch ~profile algo in
   let diags = Ba_verify.Run.diagnostics result in
   let e, warn, i = Ba_analysis.Diagnostic.count diags in
   Json.Obj

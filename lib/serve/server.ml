@@ -396,6 +396,10 @@ let request_stop t =
   wake t
 
 let create cfg =
+  (* A zero batch never takes from the queue and a zero queue admits
+     nothing: either server would never answer. *)
+  if cfg.queue_len < 1 || cfg.batch_max < 1 then
+    invalid_arg "Server: queue_len and batch_max must be positive";
   (match cfg.cache_mb with
   | Some mb -> Ba_workloads.Profiled.set_budget_mb mb
   | None -> ());

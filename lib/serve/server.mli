@@ -30,13 +30,15 @@ val default_config : socket_path:string -> config
 
 val run : config -> unit
 (** Bind, serve until a stop signal arrives, drain, clean up.  Blocks the
-    calling domain for the server's lifetime. *)
+    calling domain for the server's lifetime.  Raises [Invalid_argument]
+    before binding when [queue_len] or [batch_max] is not positive. *)
 
 type handle
 
 val start : config -> handle
 (** {!run} on a background domain.  The socket is already bound and
-    listening when [start] returns, so a client may connect immediately. *)
+    listening when [start] returns, so a client may connect immediately.
+    Refuses the same configurations as {!run}. *)
 
 val stop : handle -> unit
 (** Request a graceful drain and wait for the server to finish. *)

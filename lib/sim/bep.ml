@@ -23,7 +23,7 @@ let arch_label = function
 
 type penalties = { misfetch : int; mispredict : int }
 
-let default_penalties = { misfetch = 1; mispredict = 4 }
+let penalties = { misfetch = 1; mispredict = 4 }
 
 type counts = {
   mutable misfetches : int;
@@ -47,7 +47,6 @@ type predictor =
 type t = {
   predictor : predictor;
   ras : Return_stack.t;
-  penalties : penalties;
   c : counts;
   m_arch_penalty : Ba_obs.Counter.t;  (* sim.bep.arch.<label>.penalty_cycles *)
 }
@@ -82,7 +81,7 @@ let zero_counts () =
     rets_correct = 0;
   }
 
-let create ?(penalties = default_penalties) ?(return_stack_depth = 32) arch =
+let create ?(return_stack_depth = 32) arch =
   let predictor =
     match arch with
     | Static_fallthrough -> Rule Static_rule.Fallthrough
@@ -98,7 +97,6 @@ let create ?(penalties = default_penalties) ?(return_stack_depth = 32) arch =
   {
     predictor;
     ras = Return_stack.create ~depth:return_stack_depth;
-    penalties;
     c = zero_counts ();
     m_arch_penalty =
       Ba_obs.Counter.make ~unit_:"cycles"
@@ -187,7 +185,7 @@ let on_event t (e : Event.t) =
 let counts t = t.c
 
 let bep t =
-  (t.c.misfetches * t.penalties.misfetch) + (t.c.mispredicts * t.penalties.mispredict)
+  (t.c.misfetches * penalties.misfetch) + (t.c.mispredicts * penalties.mispredict)
 
 (* Every global metric above is a pure function of the final books, so the
    simulation loop never touches the registry: the books are flushed once,
@@ -205,8 +203,8 @@ let flush_obs t =
   let c = t.c in
   Ba_obs.Counter.add m_misfetch c.misfetches;
   Ba_obs.Counter.add m_mispredict c.mispredicts;
-  Ba_obs.Counter.add m_misfetch_cycles (c.misfetches * t.penalties.misfetch);
-  Ba_obs.Counter.add m_mispredict_cycles (c.mispredicts * t.penalties.mispredict);
+  Ba_obs.Counter.add m_misfetch_cycles (c.misfetches * penalties.misfetch);
+  Ba_obs.Counter.add m_mispredict_cycles (c.mispredicts * penalties.mispredict);
   Ba_obs.Counter.add t.m_arch_penalty (bep t);
   Ba_obs.Counter.add m_cond c.cond;
   Ba_obs.Counter.add m_cond_taken c.cond_taken;

@@ -30,8 +30,9 @@ val arch_label : arch -> string
 
 type penalties = { misfetch : int; mispredict : int }
 
-val default_penalties : penalties
-(** misfetch 1, mispredict 4 — the paper's simulation numbers. *)
+val penalties : penalties
+(** misfetch 1, mispredict 4 — the paper's simulation numbers, which
+    every simulator charges. *)
 
 type counts = {
   mutable misfetches : int;
@@ -48,7 +49,7 @@ type counts = {
 
 type t
 
-val create : ?penalties:penalties -> ?return_stack_depth:int -> arch -> t
+val create : ?return_stack_depth:int -> arch -> t
 val on_event : t -> Ba_exec.Event.t -> unit
 val counts : t -> counts
 (** The live books (mutated by {!on_event}); read them when the event

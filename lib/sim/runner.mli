@@ -16,7 +16,6 @@ type outcome = {
 
 val simulate :
   ?max_steps:int ->
-  ?penalties:Bep.penalties ->
   ?return_stack_depth:int ->
   ?trace:Ba_trace.Trace.t ->
   archs:Bep.arch list ->

@@ -1,19 +1,23 @@
-(** Driving verification over one workload / algorithm pair.
+(** Proving one workload's layout under one algorithm.
 
-    [verify_pipeline] escalates {!Ba_analysis.Run.check_pipeline} from
-    linting to proving: it runs the same five lint stages over the same
-    pipeline products (sharing the profile and the alignment run rather
-    than recomputing them), then — decisions permitting — lowers, and on
-    the lowered image runs the three verification passes: the
-    translation validator ({!Bisim}) per procedure, the cost certifier
-    ({!Cost_cert}) per architecture, and the optimality auditor
-    ({!Audit}).  Certification and audit run only when every procedure
-    bisimulates — there is nothing meaningful to price otherwise. *)
+    {!verify} escalates {!Ba_analysis.Run.check_pipeline} from linting to
+    proving: it runs the five lint stages, then — decisions permitting —
+    runs the three verification passes on the image those stages checked
+    (or on its {!Ba_layout.Image.build_interproc} twin): the translation
+    validator ({!Bisim}) per procedure, the cost certifier ({!Cost_cert})
+    per architecture, and the optimality auditor ({!Audit}).
+    Certification and audit run only when every procedure bisimulates —
+    there is nothing meaningful to price otherwise.  {!lint} runs the
+    same five stages and then the conflict, audit and bound extension
+    stages on the same image. *)
 
 type t = {
-  lint : Ba_analysis.Run.report;  (** the five Ba_analysis stages *)
+  lint : Ba_analysis.Diagnostic.t list;
+      (** findings of the lint stages run before the proof (none for
+          {!verify_image}) *)
   bisim : Ba_analysis.Diagnostic.t list;
-      (** translation-validation findings, all procedures *)
+      (** translation-validation findings, all procedures, plus the
+          address-map findings of an image no lint stage checked *)
   certificates : Certificate.t list;
       (** one per architecture, in {!Ba_core.Cost_model.all_arches}
           order *)
@@ -21,7 +25,9 @@ type t = {
       (** cost-certification cross-check failures *)
   audit : Ba_analysis.Diagnostic.t list;  (** improvable-layout findings *)
   verified : bool;
-      (** every procedure bisimulates and every certificate cross-checked *)
+      (** every procedure bisimulates, the address map of an image no lint
+          stage checked is sound, and every certificate cross-checked;
+          every surface reads this verdict rather than deriving its own *)
 }
 
 val diagnostics : t -> Ba_analysis.Diagnostic.t list
@@ -30,46 +36,55 @@ val diagnostics : t -> Ba_analysis.Diagnostic.t list
 val error_count : t -> int
 
 val verify_image :
-  ?pool:Ba_par.Pool.t ->
-  ?audit_arch:Ba_core.Cost_model.arch ->
-  ?audit:bool ->
-  ?trace:Ba_trace.Trace.t ->
-  workload:string ->
-  algo:string ->
-  profile:Ba_cfg.Profile.t ->
-  Ba_layout.Image.t ->
-  Ba_analysis.Diagnostic.t list
-  * Certificate.t list
-  * Ba_analysis.Diagnostic.t list
-  * Ba_analysis.Diagnostic.t list
-(** The verification passes alone — [(bisim, certificates, cert_diags,
-    audit)] — over an already-built image, with the lint stages assumed
-    done elsewhere.  Every architecture is certified; [audit_arch]
-    defaults to BT/FNT.  [pool] certifies the architectures in parallel;
-    certificates keep {!Ba_core.Cost_model.all_arches} order (and
-    therefore their digests) either way.  [trace] (a semantic trace recorded for this
-    profile's run) upgrades audit findings with simulator-exact cycle
-    figures via {!Ba_delta.Eval}. *)
+  workload:string -> algo:string -> profile:Ba_cfg.Profile.t -> Ba_layout.Image.t -> t
+(** The proof of an image no lint stage checked (a placed or stitched
+    image): its whole-image address map ({!Ba_analysis.Check_image}),
+    bisimulation, and certification on every architecture; no audit. *)
 
-val verify_pipeline :
+val verify :
   ?pool:Ba_par.Pool.t ->
-  ?arch:Ba_core.Cost_model.arch ->
-  ?max_steps:int ->
-  ?profile:Ba_cfg.Profile.t ->
-  ?trace:Ba_trace.Trace.t ->
   ?audit:bool ->
   ?interproc:bool ->
+  ?trace:Ba_trace.Trace.t ->
+  arch:Ba_core.Cost_model.arch ->
+  profile:Ba_cfg.Profile.t ->
+  Ba_delta.Algo.t ->
+  t
+(** Lint stages 1-5 over the profile's program aligned by the algorithm
+    under [arch], then prove the image stage 5 checked.  All five
+    architectures are certified, in parallel on [pool] when given
+    (certificates keep {!Ba_core.Cost_model.all_arches} order, and
+    therefore their digests, either way); [pool] also runs the anneal
+    search.  [audit] (default true) runs the audit under [arch]; [trace]
+    (recorded for this profile's run) upgrades its findings with
+    simulator-exact cycle figures via {!Ba_delta.Eval}.  [interproc]
+    (default false) proves the {!Ba_layout.Image.build_interproc} image of
+    the same decisions instead — stitched and hot/cold-split addresses —
+    and checks its address map.  Verification is skipped (with
+    [verified = false]) when the IR or the decisions have lint errors:
+    there is no lowered code to prove. *)
+
+val lint :
+  arch:Ba_core.Cost_model.arch ->
+  profile:Ba_cfg.Profile.t ->
+  Ba_delta.Algo.t ->
+  Ba_analysis.Run.report
+(** Lint stages 1-5 as in {!verify}, then — when they report no error —
+    the extension stages on the image stage 5 checked: the conflict lint
+    ({!Ba_conflict.Lint}), the optimality audit under [arch] and the
+    bound lint ({!Ba_bound.Lint}).  What [branch_align lint] prints. *)
+
+val verify_pipeline :
+  arch:Ba_core.Cost_model.arch ->
+  max_steps:int ->
+  profile:Ba_cfg.Profile.t ->
+  trace:Ba_trace.Trace.t ->
+  audit:bool ->
   algo:Ba_core.Align.algo ->
   Ba_ir.Program.t ->
   t
-(** Full run: lint stages 1-5 as {!Ba_analysis.Run.check_pipeline} would,
-    then verify.  [arch] (default BT/FNT) selects the cost model the
-    alignment and the audit run under; all five architectures are
-    certified; [profile] replaces the profiling run as in the lint
-    pipeline.  [interproc] (default false) builds the image
-    with {!Ba_layout.Image.build_interproc} instead of
-    {!Ba_layout.Image.build} — same decisions, stitched and hot/cold-split
-    addresses — so the bisimulation, the cost certificates and the audit
-    prove the cross-procedure layout.  Verification is skipped (with
-    [verified = false]) when the IR or the decisions have lint errors —
-    there is no lowered code to validate. *)
+(** [verify ~audit ~trace ~arch ~profile (Core algo)], in the shape the
+    benchmark's traced copy of the serve handler
+    ([perfbench/replica.ml]) calls; no production code calls it.
+    [max_steps] is ignored (the profile and the trace fix the run) and
+    the program must be the profile's ([Invalid_argument] otherwise). *)

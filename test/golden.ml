@@ -273,7 +273,9 @@ let bound_report () =
   let analyze image =
     Ba_bound.Analyze.analyze
       ~arch:
-        (Ba_bound.Analyze.arch_of_model Ba_core.Cost_model.Btfnt ~profile image)
+        (Ba_delta.Eval.to_arch
+           (Ba_delta.Eval.spec_of_model Ba_core.Cost_model.Btfnt)
+           ~image ~profile)
       ~profile image
   in
   let detail (a : Ba_bound.Analyze.t) =
@@ -299,7 +301,7 @@ let bound_report () =
   in
   let orig = Ba_layout.Image.original ~profile program in
   let diags =
-    Ba_bound.Lint.check ~algo:(Ba_core.Align.Tryn 15)
+    Ba_bound.Lint.check ~algo:(Ba_delta.Algo.Core (Ba_core.Align.Tryn 15))
       ~arch:Ba_core.Cost_model.Btfnt ~profile t15
   in
   (* The optimality audit of wave5's Greedy/FALLTHROUGH layout, with the
@@ -309,8 +311,8 @@ let bound_report () =
   let audit_findings =
     let _, _, trace = Ba_workloads.Profiled.get_traced ~max_steps spec in
     let result =
-      Ba_verify.Run.verify_pipeline ~arch:Ba_core.Cost_model.Fallthrough
-        ~max_steps ~profile ~trace ~algo:Ba_core.Align.Greedy program
+      Ba_verify.Run.verify ~arch:Ba_core.Cost_model.Fallthrough ~profile
+        ~trace (Ba_delta.Algo.Core Ba_core.Align.Greedy)
     in
     result.Ba_verify.Run.audit
   in

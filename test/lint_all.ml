@@ -1,16 +1,17 @@
 (* The lint-all matrix: every built-in workload, linted end-to-end under
-   every alignment algorithm and every architectural cost model.  Runs as
-   part of `dune runtest`; any Error-severity diagnostic fails the build
-   with its rule id and location printed.
+   every alignment algorithm (the annealing search included) and every
+   architectural cost model.  Runs as part of `dune runtest`; any
+   Error-severity diagnostic fails the build with its rule id and location
+   printed.
 
-   The 600 cells run on a Ba_par.Pool (BA_JOBS-many domains; BA_JOBS=1
+   The 720 cells run on a Ba_par.Pool (BA_JOBS-many domains; BA_JOBS=1
    forces the sequential path).  Each workload is profiled once via the
    Ba_workloads.Profiled memo and the profile shared across its algorithm
    × architecture cells — concurrent cells of the same workload block on
    the memo rather than re-profiling.  Results come back in cell order, so
    the report below is byte-identical whatever the scheduling. *)
 
-let algos = Matrix.algos
+let algos = Matrix.every_algo
 
 (* Enough budget that every workload's control-flow signature is fully
    exercised; completion is not required (truncation is lint-legal). *)
@@ -31,7 +32,12 @@ let () =
         Ba_par.Pool.map pool
           (fun ((w : Ba_workloads.Spec.t), algo, arch) ->
             let program, profile = Ba_workloads.Profiled.get ~max_steps w in
-            (w, algo, arch, Ba_analysis.Run.check_pipeline ~arch ~profile ~algo program))
+            ( w,
+              algo,
+              arch,
+              Ba_analysis.Run.check_pipeline ~profile
+                ~align:(Ba_delta.Algo.decisions algo ~arch)
+                program ))
           cells)
   in
   let failed = ref 0 in
@@ -41,7 +47,7 @@ let () =
       if errs > 0 then begin
         incr failed;
         Printf.printf "FAIL %-12s %-8s %-11s %d error%s\n" w.name
-          (Ba_core.Align.algo_name algo)
+          (Ba_delta.Algo.name algo)
           (Ba_core.Cost_model.arch_name arch)
           errs
           (if errs = 1 then "" else "s");

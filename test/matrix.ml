@@ -9,7 +9,7 @@
 
    This is a (wrapped false) library, not a module of the main test
    executable, so the standalone gates (lint_all, verify_all) consume the
-   same canonical [algos] list instead of keeping their own copies. *)
+   same canonical [every_algo] list instead of keeping their own copies. *)
 
 let wall_steps = 20_000
 
@@ -53,6 +53,12 @@ let arch_for = function
   | Ba_core.Align.Tryn _ -> Ba_core.Cost_model.Btb
 
 let wall_cells = List.map (fun a -> (a, arch_for a)) algos
+
+(* Every algorithm as the command line and the server name it: [algos]
+   and the annealing search.  The lint-all and verify-all gates sweep
+   this list. *)
+let every_algo =
+  List.map (fun a -> Ba_delta.Algo.Core a) algos @ [ Ba_delta.Algo.Anneal ]
 
 (* Each cell's layout and image, through the same Ba_delta.Algo calls the
    command line and the server make. *)

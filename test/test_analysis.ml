@@ -1,6 +1,6 @@
 (* Tests for Ba_analysis: profile flow conservation on hand-built
    profiles, decision linting, and the corrupted-decision path through
-   Run.check_layout that backs the CLI's non-zero exit. *)
+   Run.check_pipeline that backs the CLI's non-zero exit. *)
 
 open Ba_ir
 open Ba_analysis
@@ -115,30 +115,57 @@ let test_decision_accepts_valid () =
   Alcotest.(check int) "clean" 0
     (List.length (Check_decision.check ~proc_id:0 p d))
 
-(* The CLI's failure path: feeding Run.check_layout a corrupted decision
+(* The CLI's failure path: an aligner that returns a corrupted decision
    must produce stage-3 errors and skip lowering entirely. *)
 let test_corrupted_decision_through_run () =
   let program = loop_program () in
-  let stages =
-    Run.check_layout program
-      [| Ba_layout.Decision.of_order [| 0; 2; 2; 3 |] |]
+  let report =
+    Run.check_pipeline ~profile:(conserved_profile program)
+      ~align:(fun _ -> [| Ba_layout.Decision.of_order [| 0; 2; 2; 3 |] |])
+      program
   in
-  let decision_diags = List.assoc Run.Decision stages in
+  let decision_diags = List.assoc Run.Decision report.Run.stages in
   Alcotest.(check bool) "decision errors" true (errors decision_diags > 0);
-  Alcotest.(check bool) "lowering skipped" false
-    (List.mem_assoc Run.Linear stages)
+  Alcotest.(check bool) "lowering skipped" false (Run.ran report Run.Linear);
+  Alcotest.(check bool) "no image" true (report.Run.image = None)
 
 let test_pipeline_clean_on_workload () =
   let w = List.hd Ba_workloads.Spec.all in
+  let program = w.Ba_workloads.Spec.build () in
+  let profile = Ba_exec.Engine.profile_program ~max_steps:40_000 program in
   let report =
-    Run.check_pipeline ~algo:(Ba_core.Align.Tryn 15) ~max_steps:40_000
-      (w.Ba_workloads.Spec.build ())
+    Run.check_pipeline ~profile
+      ~align:(Ba_core.Align.align_program (Ba_core.Align.Tryn 15))
+      program
   in
   Alcotest.(check int) "no errors" 0 (Run.error_count report);
   List.iter
     (fun s ->
       Alcotest.(check bool) (Run.stage_name s ^ " ran") true (Run.ran report s))
-    Run.core_stages
+    Run.core_stages;
+  Alcotest.(check bool) "decisions kept" true (report.Run.decisions <> None);
+  Alcotest.(check bool) "checked image kept" true (report.Run.image <> None)
+
+(* IR errors stop the pipeline before alignment: only the IR stage runs,
+   and the aligner is never called (aligning an invalid program would
+   crash rather than lint). *)
+let test_ir_error_skips_aligner () =
+  let p =
+    Proc.make ~name:"stranded"
+      [| Block.make (Term.Jump 2); Block.make Term.Halt; Block.make Term.Halt |]
+  in
+  let program = Program.make ~name:"stranded" [| p |] in
+  let report =
+    Run.check_pipeline ~profile:(Ba_cfg.Profile.create program)
+      ~align:(fun _ -> Alcotest.fail "aligner called on an invalid program")
+      program
+  in
+  Alcotest.(check (list string)) "only the ir stage ran" [ "ir" ]
+    (List.map (fun (s, _) -> Run.stage_name s) report.Run.stages);
+  Alcotest.(check bool) "unreachable block flagged" true
+    (has_rule "ir/unreachable-block" (Run.diagnostics report));
+  Alcotest.(check bool) "no decisions" true (report.Run.decisions = None);
+  Alcotest.(check bool) "no image" true (report.Run.image = None)
 
 let suites =
   [
@@ -162,5 +189,7 @@ let suites =
           test_corrupted_decision_through_run;
         Alcotest.test_case "run: full pipeline clean on a workload" `Quick
           test_pipeline_clean_on_workload;
+        Alcotest.test_case "run: IR errors skip the aligner" `Quick
+          test_ir_error_skips_aligner;
       ] );
   ]

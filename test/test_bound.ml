@@ -240,17 +240,13 @@ let test_optimal_direct () =
   in
   let bep decisions =
     let image = Ba_layout.Image.build ~profile program decisions in
-    let arch =
-      Ba_bound.Analyze.arch_of_model Ba_core.Cost_model.Btfnt ~profile image
-    in
+    let arch = Bep.Static_btfnt in
     let out = Runner.simulate ~max_steps:wall_steps ~trace ~archs:[ arch ] image in
     Bep.bep (snd out.Runner.sims.(0))
   in
   let bounds decisions =
     let image = Ba_layout.Image.build ~profile program decisions in
-    let arch =
-      Ba_bound.Analyze.arch_of_model Ba_core.Cost_model.Btfnt ~profile image
-    in
+    let arch = Bep.Static_btfnt in
     let iv = Ba_bound.Analyze.bounds ~arch ~profile image in
     (iv.Ba_bound.Domain.lo, iv.Ba_bound.Domain.hi)
   in
@@ -288,7 +284,7 @@ let test_lint_rules () =
       profile
   in
   let diags =
-    Ba_bound.Lint.check ~algo:(Ba_core.Align.Tryn 15)
+    Ba_bound.Lint.check ~algo:(Ba_delta.Algo.Core (Ba_core.Align.Tryn 15))
       ~arch:Ba_core.Cost_model.Btfnt ~profile t15
   in
   Alcotest.(check bool) "provably-suboptimal fires" true
@@ -297,7 +293,7 @@ let test_lint_rules () =
      under PHT must report a too-wide interval. *)
   let orig = Ba_layout.Image.original ~profile program in
   let diags2 =
-    Ba_bound.Lint.check ~algo:Ba_core.Align.Original
+    Ba_bound.Lint.check ~algo:(Ba_delta.Algo.Core Ba_core.Align.Original)
       ~arch:Ba_core.Cost_model.Pht ~profile orig
   in
   Alcotest.(check bool) "gap-too-wide fires" true

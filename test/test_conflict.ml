@@ -573,8 +573,8 @@ let test_placement_workloads () =
         (name ^ ": padded image lints clean")
         0
         (errors (Ba_analysis.Check_image.check place.Place.image));
-      let bisim, _, cert_diags, _ =
-        Ba_verify.Run.verify_image ~audit:false ~workload:name ~algo:"try15"
+      let { Ba_verify.Run.bisim; cert_diags; _ } =
+        Ba_verify.Run.verify_image ~workload:name ~algo:"try15"
           ~profile place.Place.image
       in
       Alcotest.(check int)

@@ -453,7 +453,7 @@ let test_gap_replay_oracle () =
     (fun model (c : Ba_report.Gap.cell) ->
       let replay decisions =
         let image = Ba_layout.Image.build ~profile program decisions in
-        let arch = Ba_bound.Analyze.arch_of_model model ~profile image in
+        let arch = Eval.to_arch (Eval.spec_of_model model) ~image ~profile in
         let out =
           Ba_sim.Runner.simulate ~max_steps:wall_steps ~trace ~archs:[ arch ]
             image
@@ -462,7 +462,7 @@ let test_gap_replay_oracle () =
       in
       let bounds decisions =
         let image = Ba_layout.Image.build ~profile program decisions in
-        let arch = Ba_bound.Analyze.arch_of_model model ~profile image in
+        let arch = Eval.to_arch (Eval.spec_of_model model) ~image ~profile in
         let i = Ba_bound.Analyze.bounds ~arch ~profile image in
         (i.Ba_bound.Domain.lo, i.Ba_bound.Domain.hi)
       in

@@ -137,8 +137,8 @@ let test_verify_wall () =
       List.iter
         (fun (tag, image) ->
           incr images;
-          let bisim, certificates, cert_diags, _audit =
-            Ba_verify.Run.verify_image ~audit:false
+          let { Ba_verify.Run.bisim; certificates; cert_diags; _ } =
+            Ba_verify.Run.verify_image
               ~workload:w.Ba_workloads.Spec.name
               ~algo:(Align.algo_name Align.ExtTsp) ~profile image
           in

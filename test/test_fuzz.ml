@@ -26,7 +26,10 @@ let test_all_algos_verify =
       let profile = Ba_exec.Engine.profile_program ~max_steps:fuzz_steps program in
       List.for_all
         (fun algo ->
-          let r = Ba_verify.Run.verify_pipeline ~profile ~algo program in
+          let r =
+            Ba_verify.Run.verify ~arch:Cost_model.Btfnt ~profile
+              (Ba_delta.Algo.Core algo)
+          in
           let errs = Ba_verify.Run.error_count r in
           if (not r.Ba_verify.Run.verified) || errs > 0 then
             QCheck.Test.fail_reportf

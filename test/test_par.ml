@@ -256,8 +256,11 @@ let test_certificate_digests_identical () =
   let algo = Ba_core.Align.Tryn 15 in
   Ba_workloads.Profiled.clear ();
   let verify ?pool (w : Ba_workloads.Spec.t) =
-    let program, profile = Ba_workloads.Profiled.get ~max_steps:diff_steps w in
-    (w.Ba_workloads.Spec.name, digests_of (Ba_verify.Run.verify_pipeline ?pool ~profile ~algo program))
+    let _program, profile = Ba_workloads.Profiled.get ~max_steps:diff_steps w in
+    ( w.Ba_workloads.Spec.name,
+      digests_of
+        (Ba_verify.Run.verify ?pool ~arch:Ba_core.Cost_model.Btfnt ~profile
+           (Ba_delta.Algo.Core algo)) )
   in
   let sequential = List.map (fun w -> verify w) ws in
   let _, misses = Ba_workloads.Profiled.stats () in

@@ -307,10 +307,10 @@ let test_histogram_quantile () =
 (* ------------------------------------------------------------------ *)
 (* The handler                                                         *)
 
-(* Every compute kind but verify takes the annealing search; verify
-   proves and certifies Ba_core.Align algorithms only and answers an
-   error.  Simulate and align score the same annealed layout, so
-   simulate's BTB-256/4 row carries align's exact penalty cycles. *)
+(* Every compute kind takes the annealing search, verify included: it
+   proves the annealed layout and certifies it on every cost model.
+   Simulate and align score the same annealed layout, so simulate's
+   BTB-256/4 row carries align's exact penalty cycles. *)
 let test_handler_anneal () =
   let call kind =
     Ba_serve.Handler.handle
@@ -326,13 +326,19 @@ let test_handler_anneal () =
           (name ^ " names anneal") (Some "anneal")
           (Option.bind (J.member "algo" r.P.body) J.to_string_opt);
         r.P.body)
-      [ ("align", P.Align); ("simulate", P.Simulate); ("analyze", P.Analyze) ]
+      [
+        ("align", P.Align); ("simulate", P.Simulate); ("analyze", P.Analyze);
+        ("verify", P.Verify);
+      ]
   in
-  (match (call P.Verify).P.status with
-  | P.Error_ msg ->
-    Alcotest.(check string) "verify refuses anneal"
-      "verify does not accept the anneal search" msg
-  | P.Ok_ | P.Overloaded -> Alcotest.fail "verify must refuse anneal");
+  let verify = List.nth bodies 3 in
+  Alcotest.(check bool) "verify proves anneal" true
+    (J.member "verified" verify = Some (J.Bool true));
+  Alcotest.(check int) "one certificate per cost model"
+    (List.length Ba_core.Cost_model.all_arches)
+    (match J.member "certificates" verify with
+    | Some (J.List cs) -> List.length cs
+    | _ -> 0);
   let int_of name j = Option.bind (J.member name j) J.to_int_opt in
   let btb256 =
     match J.member "architectures" (List.nth bodies 1) with
@@ -537,6 +543,30 @@ let test_server_overload () =
   Client.close cl;
   Ba_serve.Server.stop h
 
+(* A zero batch never takes from the queue and a zero queue admits
+   nothing, so such a server would never answer: start refuses both
+   before binding the socket. *)
+let test_server_refuses_empty_batch () =
+  List.iter
+    (fun (what, queue_len, batch_max) ->
+      let sock = socket_path () in
+      let cfg =
+        {
+          (Ba_serve.Server.default_config ~socket_path:sock) with
+          queue_len;
+          batch_max;
+          install_signals = false;
+        }
+      in
+      (match Ba_serve.Server.start cfg with
+      | h ->
+        Ba_serve.Server.stop h;
+        Alcotest.failf "%s: server started" what
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check bool) (what ^ ": no socket bound") false
+        (Sys.file_exists sock))
+    [ ("batch_max 0", 256, 0); ("queue_len 0", 0, 64) ]
+
 (* SIGTERM must drain: answered work stays answered, the connection sees a
    clean EOF (not a reset), and the socket is unlinked. *)
 let test_server_sigterm_drain () =
@@ -590,8 +620,7 @@ let suites =
       ] );
     ( "serve.handler",
       [
-        Alcotest.test_case "anneal on every kind but verify" `Quick
-          test_handler_anneal;
+        Alcotest.test_case "anneal on every kind" `Quick test_handler_anneal;
       ] );
     ( "serve.server",
       [
@@ -600,6 +629,8 @@ let suites =
         Alcotest.test_case "-j1 vs -j4 byte-identical" `Slow
           test_server_jobs_byte_identical;
         Alcotest.test_case "overload sheds load" `Slow test_server_overload;
+        Alcotest.test_case "start refuses an empty batch" `Quick
+          test_server_refuses_empty_batch;
         Alcotest.test_case "SIGTERM drains gracefully" `Slow
           test_server_sigterm_drain;
       ] );

@@ -210,7 +210,8 @@ let verify_espresso =
           Ba_workloads.Spec.all)
          .Ba_workloads.Spec.build ()
      in
-     Ba_verify.Run.verify_pipeline ~arch ~max_steps ~algo program)
+     let profile = Ba_exec.Engine.profile_program ~max_steps program in
+     Ba_verify.Run.verify ~arch ~profile (Ba_delta.Algo.Core algo))
 
 let test_certificates_issued () =
   let r = Lazy.force verify_espresso in
@@ -263,8 +264,9 @@ let test_audit_finds_improvements () =
       .Ba_workloads.Spec.build ()
   in
   let r =
-    Ba_verify.Run.verify_pipeline ~arch ~max_steps ~algo:Ba_core.Align.Original
-      program
+    Ba_verify.Run.verify ~arch
+      ~profile:(Ba_exec.Engine.profile_program ~max_steps program)
+      (Ba_delta.Algo.Core Ba_core.Align.Original)
   in
   Alcotest.(check bool) "original layout still verifies" true
     r.Ba_verify.Run.verified;
@@ -275,6 +277,54 @@ let test_audit_finds_improvements () =
       Alcotest.(check bool) "audit findings are informational" true
         (d.Ba_analysis.Diagnostic.severity = Ba_analysis.Diagnostic.Info))
     r.Ba_verify.Run.audit
+
+(* --- One pipeline --------------------------------------------------------- *)
+
+(* Visits of every span named [name] in a registry's span tree. *)
+let span_visits registry name =
+  let rec visits acc (s : Ba_obs.Registry.span) =
+    List.fold_left visits
+      (if s.Ba_obs.Registry.name = name then acc + s.Ba_obs.Registry.count else acc)
+      s.Ba_obs.Registry.children
+  in
+  List.fold_left visits 0 (Ba_obs.Registry.spans registry)
+
+(* Lint aligns the layout under test once and checks the image stage 5
+   lowered; verify proves that same image instead of building another.
+   On compress (two procedures) lint's only other alignments and
+   lowerings are the bound lint's three rival layouts (orig's is the
+   identity, with no align span): 6 align and 4 lower spans, where
+   aligning the layout under test twice opens 8 and 5.  Verify opens 5
+   lower spans, where a second build opens 6. *)
+let test_pipeline_builds_once () =
+  let w = Option.get (Ba_workloads.Spec.by_name "compress") in
+  let _program, profile, trace = Ba_workloads.Profiled.get_traced ~max_steps w in
+  let algo = Ba_delta.Algo.Core algo in
+  let spans f =
+    let registry = Ba_obs.Registry.create () in
+    Ba_obs.Registry.with_registry registry f;
+    (span_visits registry "align", span_visits registry "lower")
+  in
+  let align, lower =
+    spans (fun () ->
+        let report = Ba_verify.Run.lint ~arch ~profile algo in
+        Alcotest.(check bool) "bound stage ran" true
+          (Ba_analysis.Run.ran report Ba_analysis.Run.Bound))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "lint: %d align spans <= 6" align) true (align <= 6);
+  Alcotest.(check bool)
+    (Printf.sprintf "lint: %d lower spans <= 4" lower) true (lower <= 4);
+  let _align, verify_lower =
+    spans (fun () ->
+        let r = Ba_verify.Run.verify ~trace ~arch ~profile algo in
+        Alcotest.(check bool) "verified" true r.Ba_verify.Run.verified)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "verify: %d lower spans <= 5" verify_lower)
+    true (verify_lower <= 5);
+  Printf.printf "pipeline spans: lint %d align, %d lower; verify %d lower\n"
+    align lower verify_lower
 
 (* --- JSON emitter ------------------------------------------------------- *)
 
@@ -326,6 +376,11 @@ let suites =
       [
         Alcotest.test_case "flags the unaligned layout" `Quick
           test_audit_finds_improvements;
+      ] );
+    ( "verify.pipeline",
+      [
+        Alcotest.test_case "lint aligns once, verify builds once" `Quick
+          test_pipeline_builds_once;
       ] );
     ( "verify.json",
       [

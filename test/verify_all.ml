@@ -1,17 +1,18 @@
 (* The verify-all matrix: every built-in workload, verified end-to-end
-   under every alignment algorithm.  For each pair the pipeline is linted,
-   the lowered layout is proved equivalent to its source CFG (translation
-   validation), its expected cost is certified on every architecture
-   against an independent recomputation, and the optimality audit runs.
+   under every alignment algorithm (the annealing search included).  For
+   each pair the pipeline is linted, the lowered layout is proved
+   equivalent to its source CFG (translation validation), its expected
+   cost is certified on every architecture against an independent
+   recomputation, and the optimality audit runs.
    Any Error-severity diagnostic — or a pair that fails to produce a full
    certificate set — fails the build.
 
-   The 120 pairs run on a Ba_par.Pool (BA_JOBS-many domains), each
+   The 144 pairs run on a Ba_par.Pool (BA_JOBS-many domains), each
    workload profiled once via the Ba_workloads.Profiled memo exactly as
    lint_all does; the per-pair certificate list keeps architecture order,
    so every digest matches the sequential run's. *)
 
-let algos = Matrix.algos
+let algos = Matrix.every_algo
 
 let max_steps = 60_000
 
@@ -25,8 +26,11 @@ let () =
     Ba_par.Pool.with_pool (fun pool ->
         Ba_par.Pool.map pool
           (fun ((w : Ba_workloads.Spec.t), algo) ->
-            let program, profile = Ba_workloads.Profiled.get ~max_steps w in
-            (w, algo, Ba_verify.Run.verify_pipeline ~profile ~algo program))
+            let _program, profile = Ba_workloads.Profiled.get ~max_steps w in
+            ( w,
+              algo,
+              Ba_verify.Run.verify ~arch:Ba_core.Cost_model.Btfnt ~profile algo
+            ))
           pairs)
   in
   let failed = ref 0 and certificates = ref 0 in
@@ -37,7 +41,7 @@ let () =
       if errs > 0 || not result.Ba_verify.Run.verified then begin
         incr failed;
         Printf.printf "FAIL %-12s %-8s %sverified, %d error%s\n" w.name
-          (Ba_core.Align.algo_name algo)
+          (Ba_delta.Algo.name algo)
           (if result.Ba_verify.Run.verified then "" else "not ")
           errs
           (if errs = 1 then "" else "s");
