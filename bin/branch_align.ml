@@ -445,8 +445,12 @@ let lint_cmd workload algo arch strict format max_steps jobs =
     Ba_par.Pool.with_pool ?jobs (fun pool ->
         Ba_par.Pool.map pool
           (fun (w : Ba_workloads.Spec.t) ->
-            let _program, profile = Ba_workloads.Profiled.get ~max_steps w in
-            (w, Ba_verify.Run.lint ~arch ~profile algo))
+            (* The memoized traced run, as verify reads it: the trace lets
+               the auditor quote simulator-exact figures. *)
+            let _program, profile, trace =
+              Ba_workloads.Profiled.get_traced ~max_steps w
+            in
+            (w, Ba_verify.Run.lint ~trace ~arch ~profile algo))
           workloads)
   in
   print_report ~command:"lint" ~verb:"linted" ~algo ~arch ~strict ~format
@@ -741,9 +745,7 @@ type bound_cell = {
 let bound_eval ~max_steps (w, al, ar) =
   let _program, profile = Ba_workloads.Profiled.get ~max_steps w in
   let image = Ba_delta.Algo.image al ~arch:ar profile in
-  let sim_arch =
-    Ba_delta.Eval.to_arch (Ba_delta.Eval.spec_of_model ar) ~image ~profile
-  in
+  let sim_arch = Ba_sim.Bep.(arch_of ~image ~profile (of_model ar)) in
   {
     b_workload = w;
     b_algo = al;

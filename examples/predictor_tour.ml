@@ -2,9 +2,9 @@
 
      dune exec examples/predictor_tour.exe [workload]
 
-   Runs one workload (default: espresso) through every architecture the
-   paper simulates — three static rules, two pattern history tables, two
-   BTBs, all with a 32-entry return stack — before and after Try15
+   Runs one workload (default: espresso) through the seven configurations
+   the paper simulates — three static rules, two pattern history tables,
+   two BTBs, all sharing one return stack — before and after Try15
    alignment, and prints accuracies, penalty events and relative CPI. *)
 
 let workload_name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "espresso"
@@ -24,33 +24,29 @@ let () =
   Fmt.pr "workload %s: %s@.@." workload.Ba_workloads.Spec.name
     workload.Ba_workloads.Spec.description;
   let profile = Ba_exec.Engine.profile_program program in
-  let archs image =
-    [
-      Ba_sim.Bep.Static_fallthrough;
-      Ba_sim.Bep.Static_btfnt;
-      Ba_sim.Bep.Static_likely (Ba_predict.Likely_bits.build image profile);
-      Ba_sim.Bep.Pht_direct { entries = 4096 };
-      Ba_sim.Bep.Pht_gshare { entries = 4096; history_bits = 12 };
-      Ba_sim.Bep.Pht_global { history_bits = 12 };
-      Ba_sim.Bep.Pht_local { history_bits = 12; branch_entries = 1024 };
-      Ba_sim.Bep.Btb_arch { entries = 64; assoc = 2 };
-      Ba_sim.Bep.Btb_arch { entries = 256; assoc = 4 };
-    ]
+  (* The machine's seven configurations, as Tables 3/4 list them; LIKELY
+     hint bits are per-image, so each image gets its own. *)
+  let configs =
+    Ba_sim.Bep.
+      [
+        `Arch Static_fallthrough;
+        `Arch Static_btfnt;
+        `Likely;
+        `Arch pht_direct;
+        `Arch gshare;
+        `Arch btb64;
+        `Arch btb256;
+      ]
   in
+  let archs image = List.map (Ba_sim.Bep.arch_of ~image ~profile) configs in
   let orig_image = Ba_layout.Image.original ~profile program in
   let orig = Ba_sim.Runner.simulate ~archs:(archs orig_image) orig_image in
   let orig_insns = orig.Ba_sim.Runner.result.Ba_exec.Engine.insns in
   (* Each architecture is evaluated on the image aligned with its own cost
      model, as in the paper's Table 3/4 "Try15" columns. *)
-  let aligned_for model arch =
+  let aligned_for model config =
     let image = Ba_core.Align.image (Ba_core.Align.Tryn 15) ~arch:model profile in
-    (* LIKELY hint bits are per-image: rebuild them for the aligned code. *)
-    let arch =
-      match arch with
-      | Ba_sim.Bep.Static_likely _ ->
-        Ba_sim.Bep.Static_likely (Ba_predict.Likely_bits.build image profile)
-      | other -> other
-    in
+    let arch = Ba_sim.Bep.arch_of ~image ~profile config in
     let out = Ba_sim.Runner.simulate ~archs:[ arch ] image in
     (out, snd out.Ba_sim.Runner.sims.(0))
   in
@@ -61,19 +57,17 @@ let () =
       column "misfetch"; column "mispredict"; column "CPI orig"; column "CPI aligned";
     ]
   in
-  let model_for arch =
-    match arch with
-    | Ba_sim.Bep.Static_fallthrough -> Ba_core.Cost_model.Fallthrough
-    | Ba_sim.Bep.Static_btfnt -> Ba_core.Cost_model.Btfnt
-    | Ba_sim.Bep.Static_likely _ -> Ba_core.Cost_model.Likely
-    | Ba_sim.Bep.Pht_direct _ | Ba_sim.Bep.Pht_gshare _ | Ba_sim.Bep.Pht_global _
-    | Ba_sim.Bep.Pht_local _ -> Ba_core.Cost_model.Pht
-    | Ba_sim.Bep.Btb_arch _ -> Ba_core.Cost_model.Btb
+  let model_for = function
+    | `Arch Ba_sim.Bep.Static_fallthrough -> Ba_core.Cost_model.Fallthrough
+    | `Arch Ba_sim.Bep.Static_btfnt -> Ba_core.Cost_model.Btfnt
+    | `Likely | `Arch (Ba_sim.Bep.Static_likely _) -> Ba_core.Cost_model.Likely
+    | `Arch (Ba_sim.Bep.Pht_direct _ | Ba_sim.Bep.Pht_gshare _) -> Ba_core.Cost_model.Pht
+    | `Arch (Ba_sim.Bep.Btb_arch _) -> Ba_core.Cost_model.Btb
   in
   let rows =
-    List.map
-      (fun (arch, osim) ->
-        let aligned_out, asim = aligned_for (model_for arch) arch in
+    List.map2
+      (fun config (arch, osim) ->
+        let aligned_out, asim = aligned_for (model_for config) config in
         let c = Ba_sim.Bep.counts osim in
         [
           Ba_sim.Bep.arch_label arch;
@@ -85,7 +79,7 @@ let () =
             (Ba_sim.Bep.relative_cpi asim
                ~insns:aligned_out.Ba_sim.Runner.result.Ba_exec.Engine.insns ~orig_insns);
         ])
-      (Array.to_list orig.Ba_sim.Runner.sims)
+      configs (Array.to_list orig.Ba_sim.Runner.sims)
   in
   print_string (render ~columns ~rows);
   Fmt.pr

@@ -25,9 +25,9 @@ let m_sites = Ba_obs.Counter.make ~unit_:"sites" "bound.sites"
 let m_lower = Ba_obs.Counter.make ~unit_:"cycles" "bound.lower_cycles"
 let m_upper = Ba_obs.Counter.make ~unit_:"cycles" "bound.upper_cycles"
 
-(* The four transfer-function families.  Gshare, GAg and PAg all index
-   their pattern table through dynamic history state, so no static grouping
-   of sites is sound for them; they share the near-vacuous [Dyn] domain. *)
+(* The four transfer-function families.  Gshare indexes its pattern table
+   through dynamic history state, so no static grouping of sites is sound
+   for it: it gets the near-vacuous [Dyn] domain. *)
 type domain_kind =
   | Rule of Static_rule.t
   | Table of int  (* direct-indexed PHT, entry count *)
@@ -39,7 +39,7 @@ let domain_of = function
   | Bep.Static_btfnt -> Rule Static_rule.Btfnt
   | Bep.Static_likely bits -> Rule (Static_rule.Likely (Likely_bits.hint bits))
   | Bep.Pht_direct { entries } -> Table entries
-  | Bep.Pht_gshare _ | Bep.Pht_global _ | Bep.Pht_local _ -> Dyn
+  | Bep.Pht_gshare _ -> Dyn
   | Bep.Btb_arch { entries; assoc } -> Buffer (entries, assoc)
 
 let max0 x = if x > 0 then x else 0
@@ -56,9 +56,6 @@ let cond_identity ~mf ~mp ~w_t ~w_f (m : Domain.interval) =
   let on_fall = min m_hi w_f in
   let hi = (mf * w_t) + (mp * on_fall) + ((mp - mf) * (m_hi - on_fall)) in
   Domain.make lo hi
-
-(* The simulators' return-stack depth (Bep.create's default). *)
-let return_stack_depth = 32
 
 let analyze ~arch ~profile image =
   Ba_obs.Span.with_ "bound" @@ fun () ->
@@ -79,7 +76,7 @@ let analyze ~arch ~profile image =
      exactly correct and main's final return pops an empty stack. *)
   let ras_exact =
     match summary.Site.ras_bound with
-    | Some b -> b <= return_stack_depth
+    | Some b -> b <= Bep.return_stack_depth
     | None -> false
   in
   (* BTB sets that can never evict: at most [assoc] allocating sites map

@@ -13,7 +13,7 @@
       {!Ba_predict.Pht.direct_index}) are pooled and their joint outcome
       batches run through the 2-bit-counter interval domain
       ({!Domain.Counter});
-    - {b dynamic-history tables} (gshare / GAg / PAg): no static grouping
+    - {b dynamic-history table} (gshare): no static grouping
       is sound, so conditionals get the vacuous [\[mf*taken, mp*weight\]]
       interval plus one whole-layout guaranteed first mispredict;
     - {b BTB}: best/worst-case aliasing from
@@ -53,9 +53,9 @@ type t = {
 val analyze :
   arch:Ba_sim.Bep.arch -> profile:Ba_cfg.Profile.t -> Ba_layout.Image.t -> t
 (** Prices with the simulators' penalties ({!Ba_sim.Bep.penalties}) and
-    their 32-entry return stack.  For [Static_likely], the likely bits
-    must have been built from this same image
-    ({!Ba_predict.Likely_bits.build}), as the harness does. *)
+    their return stack ({!Ba_sim.Bep.return_stack_depth}).  For
+    [Static_likely], the likely bits must have been built from this same
+    image ({!Ba_sim.Bep.arch_of}), as the harness does. *)
 
 val bounds :
   arch:Ba_sim.Bep.arch ->

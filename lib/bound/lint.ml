@@ -14,9 +14,7 @@ let all_algos =
 
 (* The static bounds of [image] under the simulator that judges [arch]. *)
 let bounds ~arch ~profile image =
-  let sim_arch =
-    Ba_delta.Eval.to_arch (Ba_delta.Eval.spec_of_model arch) ~image ~profile
-  in
+  let sim_arch = Ba_sim.Bep.(arch_of ~image ~profile (of_model arch)) in
   (sim_arch, Analyze.bounds ~arch:sim_arch ~profile image)
 
 let check ~algo ~arch ~profile image =

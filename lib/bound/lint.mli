@@ -20,4 +20,4 @@ val check :
     against the layouts of orig, greedy, cost and try15 (those that are
     not [algo]) rebuilt from the same profile.  Each layout is judged by
     its cost model's canonical simulated configuration
-    ({!Ba_delta.Eval.spec_of_model}). *)
+    ({!Ba_sim.Bep.of_model}). *)

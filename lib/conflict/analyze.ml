@@ -191,6 +191,11 @@ let alpha_items ~bases ~insns_per_line (summary : Site.summary) =
          :: acc)
        by_line [])
 
+(* Which per-branch history register Yeh & Patt's local scheme gives the
+   conditional at [pc]: the low address bits ([branch_entries] is a power
+   of two). *)
+let local_index ~branch_entries ~pc = pc land (branch_entries - 1)
+
 let report_of ~bases summary structure =
   let body =
     match structure with
@@ -208,7 +213,7 @@ let report_of ~bases summary structure =
     | Structure.Two_level_local { branch_entries } ->
       Map
         (build_map ~capacity:branch_entries ~assoc:1
-           ~index:(fun o -> Two_level.local_index ~branch_entries ~pc:o.o_key)
+           ~index:(fun o -> local_index ~branch_entries ~pc:o.o_key)
            (cond_items ~bases summary))
     | Structure.Btb { entries; assoc } ->
       Map

@@ -27,7 +27,7 @@ let default_suite =
     Pht_gshare { entries = 256; history_bits = 8 };
     Two_level_local { branch_entries = 64 };
     Btb { entries = 64; assoc = 2 };
-    Ras { depth = 32 };
+    Ras { depth = Ba_sim.Bep.return_stack_depth };
     Icache { lines = 64; insns_per_line = 8; assoc = 1 };
     Alpha { lines = 32; insns_per_line = 8 };
   ]

@@ -23,10 +23,15 @@ type t =
           not a bound.  Reports for this structure are advisory. *)
   | Two_level_local of { branch_entries : int }
       (** per-branch history table of Yeh & Patt's local scheme; branches
-          sharing a history register interleave their outcome streams *)
+          sharing a history register interleave their outcome streams.
+          The paper discusses this scheme (§3) but does not simulate it,
+          and no simulator here models it: the report is static only,
+          with no simulated figure to check it against. *)
   | Btb of { entries : int; assoc : int }
       (** branch target buffer; an entry is allocated per taken branch *)
-  | Ras of { depth : int }  (** return-address stack *)
+  | Ras of { depth : int }
+      (** return-address stack; the suites use the simulated machine's
+          depth ({!Ba_sim.Bep.return_stack_depth}) *)
   | Icache of { lines : int; insns_per_line : int; assoc : int }
       (** instruction cache over fetched address ranges *)
   | Alpha of { lines : int; insns_per_line : int }

@@ -71,7 +71,7 @@ let listing ~arch profile trace decisions =
           cost;
         })
   in
-  let spec = Eval.spec_of_model arch in
+  let spec = Ba_sim.Bep.of_model arch in
   let ev = Eval.create ~specs:[| spec |] profile trace decisions in
   {
     procs;

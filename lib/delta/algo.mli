@@ -43,7 +43,7 @@ val image :
     per procedure the block order, the forced jump legs and the model
     cost; the program's total model cost; and the exact simulated penalty
     cycles of the layout under the cost model's canonical simulated
-    configuration ({!Eval.spec_of_model}). *)
+    configuration ({!Ba_sim.Bep.of_model}). *)
 
 type proc_row = {
   pid : Ba_ir.Term.proc_id;

@@ -12,15 +12,14 @@ open Ba_sim
    - {b static rules} (fallthrough / BTFNT / likely): every prediction is a
      pure per-site function of the candidate geometry, so the whole cost is
      a closed form over per-site counts — no replay at all;
-   - {b tables / adaptive} (PHT direct, gshare, GAg, PAg): misfetch traffic
-     stays closed-form; only the conditional direction stream is
-     history-dependent, and that substream is replayed against a real
-     predictor instance.  Three fast paths keep this scoped: if no executed
-     conditional changed its branch pc or sense, the cached base penalty is
-     exact; for GAg the index ignores the pc entirely so only sense changes
-     matter; for the direct-mapped PHT a small set of changed sites touches
-     a small set of table entries, and a dual-table replay over just those
-     entries corrects the cached total;
+   - {b tables} (direct PHT, gshare): misfetch traffic stays closed-form;
+     only the conditional direction stream is history-dependent, and that
+     substream is replayed against a real predictor instance.  Two fast
+     paths keep this scoped: if no executed conditional changed its branch
+     pc or sense, the cached base penalty is exact; for the direct-mapped
+     PHT a small set of changed sites touches a small set of table entries,
+     and a dual-table replay over just those entries corrects the cached
+     total;
    - {b BTB}: every event kind reads and trains shared associative state,
      so the exact event stream the replayer would produce on the candidate
      is synthesised from the step records and fed to a real {!Bep.t}.
@@ -28,49 +27,16 @@ open Ba_sim
    The differential wall in [test_delta.ml] holds every path to bit
    equality with [Runner.simulate]. *)
 
-type spec =
-  | Fallthrough
-  | Btfnt
-  | Likely
-  | Pht_direct of { entries : int }
-  | Pht_gshare of { entries : int; history_bits : int }
-  | Pht_global of { history_bits : int }
-  | Pht_local of { history_bits : int; branch_entries : int }
-  | Btb of { entries : int; assoc : int }
-
-let spec_label = function
-  | Fallthrough -> "fallthrough"
-  | Btfnt -> "btfnt"
-  | Likely -> "likely"
-  | Pht_direct { entries } -> Printf.sprintf "pht%d" entries
-  | Pht_gshare { entries; history_bits } ->
+let spec_label : Bep.config -> string = function
+  | `Arch Bep.Static_fallthrough -> "fallthrough"
+  | `Arch Bep.Static_btfnt -> "btfnt"
+  | `Likely | `Arch (Bep.Static_likely _) -> "likely"
+  | `Arch (Bep.Pht_direct { entries }) -> Printf.sprintf "pht%d" entries
+  | `Arch (Bep.Pht_gshare { entries; history_bits }) ->
     Printf.sprintf "gshare%d/%d" entries history_bits
-  | Pht_global { history_bits } -> Printf.sprintf "gag%d" history_bits
-  | Pht_local { history_bits; branch_entries } ->
-    Printf.sprintf "pag%d/%d" history_bits branch_entries
-  | Btb { entries; assoc } -> Printf.sprintf "btb%d/%d" entries assoc
+  | `Arch (Bep.Btb_arch { entries; assoc }) -> Printf.sprintf "btb%d/%d" entries assoc
 
-(* Each cost-model architecture's canonical simulated configuration, for
-   every surface that pairs a cost model with the simulator judging it:
-   the align listing, the audit, the gap study and the bound lint. *)
-let spec_of_model = function
-  | Ba_core.Cost_model.Fallthrough -> Fallthrough
-  | Ba_core.Cost_model.Btfnt -> Btfnt
-  | Ba_core.Cost_model.Likely -> Likely
-  | Ba_core.Cost_model.Pht -> Pht_direct { entries = 4096 }
-  | Ba_core.Cost_model.Btb -> Btb { entries = 256; assoc = 4 }
-
-let to_arch spec ~image ~profile =
-  match spec with
-  | Fallthrough -> Bep.Static_fallthrough
-  | Btfnt -> Bep.Static_btfnt
-  | Likely -> Bep.Static_likely (Likely_bits.build image profile)
-  | Pht_direct { entries } -> Bep.Pht_direct { entries }
-  | Pht_gshare { entries; history_bits } -> Bep.Pht_gshare { entries; history_bits }
-  | Pht_global { history_bits } -> Bep.Pht_global { history_bits }
-  | Pht_local { history_bits; branch_entries } ->
-    Bep.Pht_local { history_bits; branch_entries }
-  | Btb { entries; assoc } -> Bep.Btb_arch { entries; assoc }
+let spec_of_model = Bep.of_model
 
 type stats = {
   mutable closed_form : int;
@@ -89,17 +55,16 @@ type geom = {
   bpc : int array;  (* site -> branch pc (addr + insns) *)
 }
 
-(* The simulator's penalties (the paper's 1/4) and its default 32-entry
-   return stack, as Runner.simulate uses; entry-scoped direct-PHT replay
-   prices at most [scoped_max] changed sites. *)
+(* The simulator's penalties, as Runner.simulate charges them;
+   entry-scoped direct-PHT replay prices at most [scoped_max] changed
+   sites. *)
 let penalties = Bep.penalties
-let ras_depth = 32
 let scoped_max = 32
 
 type t = {
   stream : Stream.t;
   profile : Ba_cfg.Profile.t;
-  specs : spec array;
+  specs : Bep.config array;
   ras_risky : bool;  (* deeper calls than the stack: pops can be wrong *)
   base_geom : geom;
   base_cond : int array;  (* cached cond penalty per table spec, else 0 *)
@@ -131,8 +96,8 @@ let make_geom t decisions = geom_of ~stream:t.stream ~profile:t.profile decision
 (* Misfetch / mispredict counts from everything except conditional-branch
    direction predictions and returns: direct jumps, inserted jumps after a
    falling-through conditional, calls, return-leg jumps, switch and vcall
-   targets.  Closed form for the Rule/Table/Adaptive families ([Bep]
-   treats them identically here); the Buffer family never uses this. *)
+   targets.  Closed form for the static rules and the tables ([Bep]
+   treats them identically here); the BTB never uses this. *)
 let noncond_counts t geom =
   let st = t.stream in
   let fl = geom.flat in
@@ -176,7 +141,7 @@ let ret_mp_count t geom =
   else begin
     t.stats.ras_substreams <- t.stats.ras_substreams + 1;
     let fl = geom.flat in
-    let ras = Return_stack.create ~depth:ras_depth in
+    let ras = Return_stack.create ~depth:Bep.return_stack_depth in
     let mp = ref 0 in
     let ri = ref 0 in
     Array.iter
@@ -216,9 +181,9 @@ let rule_cond_counts t geom spec =
       let n_fall = st.Stream.n_exec.(s) - n_taken in
       let predict_taken =
         match spec with
-        | Fallthrough -> false
-        | Btfnt -> fl.Flat.addr.(fl.Flat.a.(g)) <= geom.bpc.(s)
-        | Likely ->
+        | `Arch Bep.Static_fallthrough -> false
+        | `Arch Bep.Static_btfnt -> fl.Flat.addr.(fl.Flat.a.(g)) <= geom.bpc.(s)
+        | `Likely ->
           (* = the Likely_bits hint the simulator would build for this
              candidate image *)
           let n_true, n_false =
@@ -256,24 +221,18 @@ let replay_cond t geom ~access =
   !pen
 
 let full_cond_penalty t geom spec =
-  match spec with
-  | Pht_direct { entries } ->
-    let p = Pht.create_direct ~entries in
-    replay_cond t geom ~access:(Pht.access p)
-  | Pht_gshare { entries; history_bits } ->
-    let p = Pht.create_gshare ~entries ~history_bits in
-    replay_cond t geom ~access:(Pht.access p)
-  | Pht_global { history_bits } ->
-    let p = Two_level.create_global ~history_bits () in
-    replay_cond t geom ~access:(Two_level.access p)
-  | Pht_local { history_bits; branch_entries } ->
-    let p = Two_level.create_local ~history_bits ~branch_entries () in
-    replay_cond t geom ~access:(Two_level.access p)
-  | Fallthrough | Btfnt | Likely | Btb _ -> assert false
+  let p =
+    match spec with
+    | `Arch (Bep.Pht_direct { entries }) -> Pht.create_direct ~entries
+    | `Arch (Bep.Pht_gshare { entries; history_bits }) ->
+      Pht.create_gshare ~entries ~history_bits
+    | _ -> assert false
+  in
+  replay_cond t geom ~access:(Pht.access p)
 
 (* Executed conditional sites whose branch pc or sense differ from the
    base geometry — the only sites that can perturb table state. *)
-let changed_conds t geom ~ignore_pc =
+let changed_conds t geom =
   let st = t.stream in
   let fl = geom.flat and bfl = t.base_geom.flat in
   let acc = ref [] in
@@ -281,10 +240,8 @@ let changed_conds t geom ~ignore_pc =
     if st.Stream.opcode.(s) = Flat.ocond && st.Stream.n_exec.(s) > 0 then begin
       let sense = fl.Flat.b.(geom.to_g.(s)) in
       let bsense = bfl.Flat.b.(t.base_geom.to_g.(s)) in
-      if
-        sense <> bsense
-        || ((not ignore_pc) && geom.bpc.(s) <> t.base_geom.bpc.(s))
-      then acc := s :: !acc
+      if sense <> bsense || geom.bpc.(s) <> t.base_geom.bpc.(s) then
+        acc := s :: !acc
     end
   done;
   !acc
@@ -334,50 +291,26 @@ let scoped_direct_penalty t geom ~entries changed cached_base =
     t.stream.Stream.cond_recs;
   cached_base - !base_pen + !cand_pen
 
+(* A single pc change perturbs gshare's shared history for every later
+   access, so only the direct PHT has a scoped path. *)
 let table_cond_penalty t geom ix spec =
-  let cached = t.base_cond.(ix) in
-  match spec with
-  | Pht_global _ ->
-    (* the GAg index is history-only: branch addresses are invisible *)
-    if changed_conds t geom ~ignore_pc:true = [] then begin
-      t.stats.cond_cached <- t.stats.cond_cached + 1;
-      cached
-    end
-    else begin
-      t.stats.cond_replayed <- t.stats.cond_replayed + 1;
-      full_cond_penalty t geom spec
-    end
-  | Pht_direct { entries } -> (
-    match changed_conds t geom ~ignore_pc:false with
-    | [] ->
-      t.stats.cond_cached <- t.stats.cond_cached + 1;
-      cached
-    | changed when List.compare_length_with changed scoped_max <= 0 ->
-      t.stats.cond_scoped <- t.stats.cond_scoped + 1;
-      scoped_direct_penalty t geom ~entries changed cached
-    | _ ->
-      t.stats.cond_replayed <- t.stats.cond_replayed + 1;
-      full_cond_penalty t geom spec)
-  | Pht_gshare _ | Pht_local _ ->
-    (* a single pc change perturbs shared history / shared counters for
-       every later access: all or nothing *)
-    if changed_conds t geom ~ignore_pc:false = [] then begin
-      t.stats.cond_cached <- t.stats.cond_cached + 1;
-      cached
-    end
-    else begin
-      t.stats.cond_replayed <- t.stats.cond_replayed + 1;
-      full_cond_penalty t geom spec
-    end
-  | Fallthrough | Btfnt | Likely | Btb _ -> assert false
+  match (changed_conds t geom, spec) with
+  | [], _ ->
+    t.stats.cond_cached <- t.stats.cond_cached + 1;
+    t.base_cond.(ix)
+  | changed, `Arch (Bep.Pht_direct { entries })
+    when List.compare_length_with changed scoped_max <= 0 ->
+    t.stats.cond_scoped <- t.stats.cond_scoped + 1;
+    scoped_direct_penalty t geom ~entries changed t.base_cond.(ix)
+  | _ ->
+    t.stats.cond_replayed <- t.stats.cond_replayed + 1;
+    full_cond_penalty t geom spec
 
 (* BTB: synthesise the exact event stream the replayer would produce on
    the candidate layout and feed a real [Bep.t]. *)
 let machine_run t geom arch =
   t.stats.machine_runs <- t.stats.machine_runs + 1;
-  let sim =
-    Bep.create ~return_stack_depth:ras_depth arch
-  in
+  let sim = Bep.create arch in
   let st = t.stream and fl = geom.flat in
   let scratch = { Ba_exec.Event.pc = 0; target = 0; kind = Ba_exec.Event.Uncond } in
   let cond_payload = { Ba_exec.Event.pc = 0; target = 0;
@@ -454,20 +387,29 @@ let machine_run t geom arch =
 
 let cost_spec t geom ~noncond ~ret_mp ix spec =
   match spec with
-  | Btb { entries; assoc } -> machine_run t geom (Bep.Btb_arch { entries; assoc })
-  | Fallthrough | Btfnt | Likely ->
+  | `Arch (Bep.Btb_arch _ as arch) -> machine_run t geom arch
+  | `Arch (Bep.Static_fallthrough | Bep.Static_btfnt) | `Likely ->
     t.stats.closed_form <- t.stats.closed_form + 1;
     let mf0, mp0 = Lazy.force noncond in
     let mf1, mp1 = rule_cond_counts t geom spec in
     ((mf0 + mf1) * penalties.Bep.misfetch)
     + ((mp0 + mp1 + Lazy.force ret_mp) * penalties.Bep.mispredict)
-  | Pht_direct _ | Pht_gshare _ | Pht_global _ | Pht_local _ ->
+  | `Arch (Bep.Pht_direct _ | Bep.Pht_gshare _) ->
     let mf0, mp0 = Lazy.force noncond in
     (mf0 * penalties.Bep.misfetch)
     + ((mp0 + Lazy.force ret_mp) * penalties.Bep.mispredict)
     + table_cond_penalty t geom ix spec
+  | `Arch (Bep.Static_likely _) -> assert false (* refused by [create] *)
 
 let create ~specs profile trace base =
+  Array.iter
+    (function
+      | `Arch (Bep.Static_likely _) ->
+        invalid_arg
+          "Ba_delta.Eval.create: fixed LIKELY hint bits cannot follow a \
+           candidate's senses; price `Likely"
+      | _ -> ())
+    specs;
   let program = Ba_cfg.Profile.program profile in
   let stream = Stream.build program trace in
   let stats =
@@ -486,7 +428,7 @@ let create ~specs profile trace base =
       stream;
       profile;
       specs = Array.copy specs;
-      ras_risky = stream.Stream.max_depth > ras_depth;
+      ras_risky = stream.Stream.max_depth > Bep.return_stack_depth;
       base_geom;
       base_cond = Array.make (Array.length specs) 0;
       stats;
@@ -495,13 +437,11 @@ let create ~specs profile trace base =
   Array.iteri
     (fun ix spec ->
       match spec with
-      | Pht_direct _ | Pht_gshare _ | Pht_global _ | Pht_local _ ->
+      | `Arch (Bep.Pht_direct _ | Bep.Pht_gshare _) ->
         t.base_cond.(ix) <- full_cond_penalty t base_geom spec
-      | Fallthrough | Btfnt | Likely | Btb _ -> ())
+      | _ -> ())
     t.specs;
   t
-
-let specs t = Array.copy t.specs
 
 let stats t = t.stats
 
@@ -518,8 +458,3 @@ let cost_arch t ix decisions =
   let noncond = lazy (noncond_counts t geom) in
   let ret_mp = lazy (ret_mp_count t geom) in
   cost_spec t geom ~noncond ~ret_mp ix t.specs.(ix)
-
-let delta t decisions mv =
-  let before = cost t decisions in
-  let after = cost t (Move.apply decisions mv) in
-  Array.map2 (fun a b -> a - b) after before

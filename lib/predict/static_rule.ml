@@ -5,8 +5,3 @@ let predict_taken t ~pc ~taken_target =
   | Fallthrough -> false
   | Btfnt -> taken_target <= pc
   | Likely hint -> hint pc
-
-let name = function
-  | Fallthrough -> "FALLTHROUGH"
-  | Btfnt -> "BT/FNT"
-  | Likely _ -> "LIKELY"

@@ -17,5 +17,3 @@ val predict_taken : t -> pc:int -> taken_target:int -> bool
 (** Would this rule predict "taken" for the conditional at [pc] whose taken
     target is [taken_target]?  (For BT/FNT the target address decides;
     a self-branch counts as backward.) *)
-
-val name : t -> string

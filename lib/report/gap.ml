@@ -38,18 +38,12 @@ let evaluate ?max_steps ?(k = 4) (workload : Ba_workloads.Spec.t) =
            the integer [Bep.bep] a full replay reports, which the
            differential wall enforces — so the search costs O(affected
            sites) per candidate instead of a full trace replay. *)
-        let ev =
-          Ba_delta.Eval.create
-            ~specs:[| Ba_delta.Eval.spec_of_model model |]
-            profile trace base
-        in
+        let config = Ba_sim.Bep.of_model model in
+        let ev = Ba_delta.Eval.create ~specs:[| config |] profile trace base in
         let bep decisions = Ba_delta.Eval.cost_arch ev 0 decisions in
         let bounds decisions =
           let image = Ba_layout.Image.build ~profile program decisions in
-          let arch =
-            Ba_delta.Eval.to_arch (Ba_delta.Eval.spec_of_model model) ~image
-              ~profile
-          in
+          let arch = Ba_sim.Bep.arch_of ~image ~profile config in
           let i = Ba_bound.Analyze.bounds ~arch ~profile image in
           (i.Ba_bound.Domain.lo, i.Ba_bound.Domain.hi)
         in

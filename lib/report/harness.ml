@@ -28,26 +28,13 @@ type eval = {
   alpha : (float * float * float) option;
 }
 
-(* The paper's simulated configurations (§3): 4096-entry PHTs (1 KB of
-   2-bit counters), a 12-bit global history for the correlation PHT, a
-   64-entry 2-way and a 256-entry 4-way BTB. *)
-let pht_direct_arch = Bep.Pht_direct { entries = 4096 }
-let gshare_arch = Bep.Pht_gshare { entries = 4096; history_bits = 12 }
-let btb64_arch = Bep.Btb_arch { entries = 64; assoc = 2 }
-let btb256_arch = Bep.Btb_arch { entries = 256; assoc = 4 }
-
-(* Run one image against a list of architectures, where LIKELY bits are
+(* Run one image against a list of configurations, where LIKELY bits are
    derived from the image itself (profile-guided hints follow the rewritten
    binary, as re-annotating after transformation would). *)
 let run_image ~max_steps ~profile ~trace ~archs image =
-  let archs =
-    List.map
-      (function
-        | `Likely -> Bep.Static_likely (Ba_predict.Likely_bits.build image profile)
-        | `Arch a -> a)
-      archs
-  in
-  Runner.simulate ~max_steps ~trace ~archs image
+  Runner.simulate ~max_steps ~trace
+    ~archs:(List.map (Bep.arch_of ~image ~profile) archs)
+    image
 
 let cpi outcome ~orig_insns arch_index =
   let _, sim = outcome.Runner.sims.(arch_index) in
@@ -58,10 +45,10 @@ let full_archs =
     `Arch Bep.Static_fallthrough;
     `Arch Bep.Static_btfnt;
     `Likely;
-    `Arch pht_direct_arch;
-    `Arch gshare_arch;
-    `Arch btb64_arch;
-    `Arch btb256_arch;
+    `Arch Bep.pht_direct;
+    `Arch Bep.gshare;
+    `Arch Bep.btb64;
+    `Arch Bep.btb256;
   ]
 
 let simulate_archs =
@@ -69,9 +56,9 @@ let simulate_archs =
     `Likely;
     `Arch Bep.Static_fallthrough;
     `Arch Bep.Static_btfnt;
-    `Arch pht_direct_arch;
-    `Arch gshare_arch;
-    `Arch btb256_arch;
+    `Arch Bep.pht_direct;
+    `Arch Bep.gshare;
+    `Arch Bep.btb256;
   ]
 
 let cpis_of_full outcome ~orig_insns =
@@ -128,10 +115,10 @@ let evaluate ?max_steps (workload : Ba_workloads.Spec.t) =
   let t15_btfnt = run_image ~archs:[ `Arch Bep.Static_btfnt ] t15_btfnt_img in
   let t15_likely = run_image ~archs:[ `Likely ] t15_likely_img in
   let t15_pht =
-    run_image ~archs:[ `Arch pht_direct_arch; `Arch gshare_arch ] t15_pht_img
+    run_image ~archs:[ `Arch Bep.pht_direct; `Arch Bep.gshare ] t15_pht_img
   in
   let t15_btb =
-    run_image ~archs:[ `Arch btb64_arch; `Arch btb256_arch ] t15_btb_img
+    run_image ~archs:[ `Arch Bep.btb64; `Arch Bep.btb256 ] t15_btb_img
   in
   let try15 =
     {
@@ -152,11 +139,11 @@ let evaluate ?max_steps (workload : Ba_workloads.Spec.t) =
   let an_btfnt = run_image ~archs:[ `Arch Bep.Static_btfnt ] (anneal_image Cost_model.Btfnt) in
   let an_likely = run_image ~archs:[ `Likely ] (anneal_image Cost_model.Likely) in
   let an_pht =
-    run_image ~archs:[ `Arch pht_direct_arch; `Arch gshare_arch ]
+    run_image ~archs:[ `Arch Bep.pht_direct; `Arch Bep.gshare ]
       (anneal_image Cost_model.Pht)
   in
   let an_btb =
-    run_image ~archs:[ `Arch btb64_arch; `Arch btb256_arch ]
+    run_image ~archs:[ `Arch Bep.btb64; `Arch Bep.btb256 ]
       (anneal_image Cost_model.Btb)
   in
   let anneal =

@@ -25,13 +25,13 @@ type arch_cpis = {
   btb256 : float;
 }
 
-val full_archs : [ `Arch of Ba_sim.Bep.arch | `Likely ] list
+val full_archs : Ba_sim.Bep.config list
 (** The seven simulated branch architectures of Tables 3/4, in column
     order.  [`Likely] stands for profile-guided hint bits, which must be
-    rebuilt per image ({!Ba_predict.Likely_bits.build}); the placement
-    table reuses this list so its columns match. *)
+    rebuilt per image ({!Ba_sim.Bep.arch_of}); the placement table reuses
+    this list so its columns match. *)
 
-val simulate_archs : [ `Arch of Ba_sim.Bep.arch | `Likely ] list
+val simulate_archs : Ba_sim.Bep.config list
 (** The six architectures [branch_align simulate] and [run] and the serve
     [simulate] kind report, in row order: LIKELY, FALLTHROUGH, BT/FNT, the
     two PHTs and the 256-entry BTB. *)
@@ -40,7 +40,7 @@ val run_image :
   max_steps:int ->
   profile:Ba_cfg.Profile.t ->
   trace:Ba_trace.Trace.t ->
-  archs:[ `Arch of Ba_sim.Bep.arch | `Likely ] list ->
+  archs:Ba_sim.Bep.config list ->
   Ba_layout.Image.t ->
   Ba_sim.Runner.outcome
 (** Score one image: replay [trace] through it, driving every

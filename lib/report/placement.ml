@@ -13,16 +13,7 @@ type row = {
   pad_slots : int;
 }
 
-let arch_labels =
-  [
-    "FALLTHROUGH";
-    "BT/FNT";
-    "LIKELY";
-    "PHT-4096";
-    "gshare-4096";
-    "BTB-64/2";
-    "BTB-256/4";
-  ]
+let arch_labels = List.map Bep.config_label Harness.full_archs
 
 let penalties ~max_steps ~profile ~trace image =
   let outcome =

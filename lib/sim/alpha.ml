@@ -17,7 +17,7 @@ let default_config =
   {
     lines = 256;
     insns_per_line = 8;
-    return_stack_depth = 32;
+    return_stack_depth = Bep.return_stack_depth;
     issue_width = 2.0;
     misfetch_cycles = 1.0;
     mispredict_cycles = 5.0;

@@ -28,9 +28,9 @@ type config = {
 }
 
 val default_config : config
-(** 256 x 8 predictor-bit lines, 32-entry return stack, dual issue,
-    misfetch 1 cycle, mispredict 5 cycles, 30% squash, 64-line icache at
-    8 cycles per miss. *)
+(** 256 x 8 predictor-bit lines, the machine's return stack
+    ({!Bep.return_stack_depth}), dual issue, misfetch 1 cycle, mispredict 5
+    cycles, 30% squash, 64-line icache at 8 cycles per miss. *)
 
 type t
 

@@ -7,8 +7,6 @@ type arch =
   | Static_likely of Likely_bits.t
   | Pht_direct of { entries : int }
   | Pht_gshare of { entries : int; history_bits : int }
-  | Pht_global of { history_bits : int }
-  | Pht_local of { history_bits : int; branch_entries : int }
   | Btb_arch of { entries : int; assoc : int }
 
 let arch_label = function
@@ -17,13 +15,38 @@ let arch_label = function
   | Static_likely _ -> "LIKELY"
   | Pht_direct { entries } -> Printf.sprintf "PHT-%d" entries
   | Pht_gshare { entries; _ } -> Printf.sprintf "gshare-%d" entries
-  | Pht_global { history_bits } -> Printf.sprintf "GAg-%d" (1 lsl history_bits)
-  | Pht_local { history_bits; _ } -> Printf.sprintf "PAg-%d" (1 lsl history_bits)
   | Btb_arch { entries; assoc } -> Printf.sprintf "BTB-%d/%d" entries assoc
+
+(* The paper's simulated machine (§6): 4096-entry PHTs (1 KB of 2-bit
+   counters), a 12-bit global history for the correlation PHT, a 64-entry
+   2-way and a 256-entry 4-way BTB, penalties of 1/4 and a 32-entry return
+   stack. *)
+let pht_direct = Pht_direct { entries = 4096 }
+let gshare = Pht_gshare { entries = 4096; history_bits = 12 }
+let btb64 = Btb_arch { entries = 64; assoc = 2 }
+let btb256 = Btb_arch { entries = 256; assoc = 4 }
+
+type config = [ `Arch of arch | `Likely ]
+
+let config_label = function `Arch a -> arch_label a | `Likely -> "LIKELY"
+
+let arch_of ~image ~profile = function
+  | `Likely -> Static_likely (Likely_bits.build image profile)
+  | `Arch a -> a
+
+(* Each cost model is judged on the configuration it prices: the direct
+   PHT for PHT and the larger BTB for BTB. *)
+let of_model = function
+  | Ba_core.Cost_model.Fallthrough -> `Arch Static_fallthrough
+  | Ba_core.Cost_model.Btfnt -> `Arch Static_btfnt
+  | Ba_core.Cost_model.Likely -> `Likely
+  | Ba_core.Cost_model.Pht -> `Arch pht_direct
+  | Ba_core.Cost_model.Btb -> `Arch btb256
 
 type penalties = { misfetch : int; mispredict : int }
 
 let penalties = { misfetch = 1; mispredict = 4 }
+let return_stack_depth = 32
 
 type counts = {
   mutable misfetches : int;
@@ -41,7 +64,6 @@ type counts = {
 type predictor =
   | Rule of Static_rule.t
   | Table of Pht.t
-  | Adaptive of Two_level.t
   | Buffer of Btb.t
 
 type t = {
@@ -81,7 +103,7 @@ let zero_counts () =
     rets_correct = 0;
   }
 
-let create ?(return_stack_depth = 32) arch =
+let create ?(return_stack_depth = return_stack_depth) arch =
   let predictor =
     match arch with
     | Static_fallthrough -> Rule Static_rule.Fallthrough
@@ -89,9 +111,6 @@ let create ?(return_stack_depth = 32) arch =
     | Static_likely bits -> Rule (Static_rule.Likely (Likely_bits.hint bits))
     | Pht_direct { entries } -> Table (Pht.create_direct ~entries)
     | Pht_gshare { entries; history_bits } -> Table (Pht.create_gshare ~entries ~history_bits)
-    | Pht_global { history_bits } -> Adaptive (Two_level.create_global ~history_bits ())
-    | Pht_local { history_bits; branch_entries } ->
-      Adaptive (Two_level.create_local ~history_bits ~branch_entries ())
     | Btb_arch { entries; assoc } -> Buffer (Btb.create ~entries ~assoc)
   in
   {
@@ -127,7 +146,6 @@ let on_cond t (e : Event.t) ~taken ~taken_target =
   | Rule rule ->
     direction t ~predicted:(Static_rule.predict_taken rule ~pc:e.pc ~taken_target) ~taken
   | Table pht -> direction t ~predicted:(Pht.access pht ~pc:e.pc ~taken) ~taken
-  | Adaptive two -> direction t ~predicted:(Two_level.access two ~pc:e.pc ~taken) ~taken
   | Buffer btb ->
     (* one int-coded access: -1 misses, else target lsl 1 lor taken-bit;
        right when the direction matches and, if taken, so does the target *)
@@ -146,14 +164,14 @@ let on_always_taken t (e : Event.t) =
      a misfetch for the static and PHT architectures; a BTB hit removes even
      that. *)
   match t.predictor with
-  | Rule _ | Table _ | Adaptive _ -> misfetch t
+  | Rule _ | Table _ -> misfetch t
   | Buffer btb ->
     let p = Btb.access btb ~pc:e.pc ~taken:true ~target:e.target in
     t.c.misfetches <- t.c.misfetches + Bool.to_int (p < 0)
 
 let on_indirect t (e : Event.t) =
   match t.predictor with
-  | Rule _ | Table _ | Adaptive _ -> mispredict t
+  | Rule _ | Table _ -> mispredict t
   | Buffer btb ->
     let p = Btb.access btb ~pc:e.pc ~taken:true ~target:e.target in
     t.c.mispredicts <- t.c.mispredicts + Bool.to_int (p lsr 1 <> e.target)
@@ -197,7 +215,6 @@ let flush_obs t =
   (match t.predictor with
   | Rule _ -> ()
   | Table pht -> Pht.flush_obs pht
-  | Adaptive two -> Two_level.flush_obs two
   | Buffer btb -> Btb.flush_obs btb);
   Return_stack.flush_obs t.ras;
   let c = t.c in

@@ -50,10 +50,3 @@ let simulate_alpha ?max_steps ?config ?fp_fraction ?trace image =
   in
   Alpha.flush_obs alpha;
   (result, alpha)
-
-let relative_cpis outcome ~orig_insns =
-  Array.to_list
-    (Array.map
-       (fun (arch, sim) ->
-         (arch, Bep.relative_cpi sim ~insns:outcome.result.Ba_exec.Engine.insns ~orig_insns))
-       outcome.sims)

@@ -38,8 +38,3 @@ val simulate_alpha :
     floating-point share and uses the dual-issue pairing model for base
     cycles instead of the ideal issue width.  [trace] replays as in
     {!simulate}. *)
-
-val relative_cpis :
-  outcome -> orig_insns:int -> (Bep.arch * float) list
-(** Relative CPI of every simulated architecture, against the original
-    program's instruction count. *)

@@ -38,7 +38,6 @@ let check ?sim ~arch ?table ~visits ~cond_counts ~proc_id (linear : Linear.t) =
     Ba_delta.Model.create ~arch ?table ~visits ~cond_counts p base_decision
   in
   let base = Ba_delta.Model.total model in
-  let sim_base = match sim with None -> 0 | Some f -> f base_decision in
   let diags = ref [] in
   let info pos ~rule fmt =
     Printf.ksprintf
@@ -57,7 +56,7 @@ let check ?sim ~arch ?table ~visits ~cond_counts ~proc_id (linear : Linear.t) =
   let sim_suffix decision =
     match sim with
     | None -> ""
-    | Some f -> Printf.sprintf " (simulator: %+d cycles)" (sim_base - f decision)
+    | Some f -> Printf.sprintf " (simulator: %+d cycles)" (f decision)
   in
   let saving mv = base -. Ba_delta.Model.preview model mv in
   (* Adjacent-chain swaps; position 0 is the pinned entry. *)

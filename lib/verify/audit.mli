@@ -21,9 +21,10 @@
     is priced with {!Ba_delta.Model}, bit-equal to re-lowering and pricing
     it with {!Ba_core.Layout_cost}, so the deltas are achievable, not
     estimates.  When a simulation oracle [sim] is given (decision ->
-    penalty cycles of the whole-program layout with this procedure's
-    decision replaced — see {!Ba_delta.Eval}), each finding also reports
-    the simulator-exact cycle change of its move. *)
+    penalty cycles the whole-program layout saves when this procedure's
+    decision is replaced — see {!Ba_delta.Eval}), each finding also
+    reports that simulator-exact saving.  [sim] is called only for
+    findings. *)
 
 val canonical_decision : Ba_layout.Linear.t -> Ba_layout.Decision.t
 (** The decision whose lowering reproduces the given linear code: the

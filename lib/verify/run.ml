@@ -29,28 +29,34 @@ let conclude ~lint (bisim, certificates, cert_diags, audit) =
 (* The optimality audit of every procedure.  With a recorded trace,
    findings also carry simulator-exact figures: one Ba_delta.Eval prices,
    for any candidate decision of one procedure, the exact replay penalty
-   of the whole layout. *)
+   of the whole layout.  The evaluator and the base layout's penalty are
+   built at the first finding, once per image; a layout with no finding
+   builds neither. *)
 let audit_image ?trace ~arch ~profile (image : Ba_layout.Image.t) =
-  let sim_for =
-    match trace with
-    | None -> fun _ -> None
-    | Some trace ->
-      let base = Array.map Audit.canonical_decision image.Ba_layout.Image.linears in
-      let ev =
-        Ba_delta.Eval.create
-          ~specs:[| Ba_delta.Eval.spec_of_model arch |]
-          profile trace base
-      in
-      fun pid ->
-        Some
-          (fun decision ->
-            let ds = Array.copy base in
-            ds.(pid) <- decision;
-            Ba_delta.Eval.cost_arch ev 0 ds)
+  let saving =
+    Option.map
+      (fun trace ->
+        let base =
+          Array.map Audit.canonical_decision image.Ba_layout.Image.linears
+        in
+        let priced =
+          lazy
+            (let ev =
+               Ba_delta.Eval.create ~specs:[| Ba_sim.Bep.of_model arch |]
+                 profile trace base
+             in
+             (ev, Ba_delta.Eval.cost_arch ev 0 base))
+        in
+        fun pid decision ->
+          let ev, base_cycles = Lazy.force priced in
+          let ds = Array.copy base in
+          ds.(pid) <- decision;
+          base_cycles - Ba_delta.Eval.cost_arch ev 0 ds)
+      trace
   in
   List.concat
     (List.init (Array.length image.Ba_layout.Image.linears) (fun pid ->
-         Audit.check ?sim:(sim_for pid) ~arch
+         Audit.check ?sim:(Option.map (fun f -> f pid) saving) ~arch
            ~visits:(fun b -> Ba_cfg.Profile.visits profile pid b)
            ~cond_counts:(fun b -> Ba_cfg.Profile.cond_counts profile pid b)
            ~proc_id:pid image.Ba_layout.Image.linears.(pid)))
@@ -157,14 +163,14 @@ let verify ?pool ?(audit = true) ?(interproc = false) ?trace ~arch ~profile
     (* IR or decision errors: there is no lowered code to prove. *)
     conclude ~lint ([], [], [], [])
 
-let lint ~arch ~profile algo =
+let lint ~trace ~arch ~profile algo =
   let report = check ~arch ~profile algo in
   match report.Run.image with
   | Some image when Run.error_count report = 0 ->
     (* The extension stages need the lowered image, so they run only when
        the five built-in stages are error-free. *)
     let conflict = Ba_conflict.Lint.check ~profile image in
-    let audit = audit_image ~arch ~profile image in
+    let audit = audit_image ~trace ~arch ~profile image in
     let bound = Ba_bound.Lint.check ~algo ~arch ~profile image in
     {
       report with

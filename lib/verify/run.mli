@@ -65,6 +65,7 @@ val verify :
     there is no lowered code to prove. *)
 
 val lint :
+  trace:Ba_trace.Trace.t ->
   arch:Ba_core.Cost_model.arch ->
   profile:Ba_cfg.Profile.t ->
   Ba_delta.Algo.t ->
@@ -72,7 +73,10 @@ val lint :
 (** Lint stages 1-5 as in {!verify}, then — when they report no error —
     the extension stages on the image stage 5 checked: the conflict lint
     ({!Ba_conflict.Lint}), the optimality audit under [arch] and the
-    bound lint ({!Ba_bound.Lint}).  What [branch_align lint] prints. *)
+    bound lint ({!Ba_bound.Lint}).  [trace] (recorded for this profile's
+    run) gives the audit's findings the simulator-exact figures
+    {!verify} quotes for the same layout.  What [branch_align lint]
+    prints. *)
 
 val verify_pipeline :
   arch:Ba_core.Cost_model.arch ->

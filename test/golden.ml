@@ -136,11 +136,11 @@ let metrics_cases =
      fun image profile ->
        Ba_sim.Bep.Static_likely (Ba_predict.Likely_bits.build image profile));
     ("pht-direct", "eqntott", Ba_core.Cost_model.Pht,
-     fun _ _ -> Ba_sim.Bep.Pht_direct { entries = 4096 });
+     fun _ _ -> Ba_sim.Bep.pht_direct);
     ("pht-gshare", "gcc", Ba_core.Cost_model.Pht,
-     fun _ _ -> Ba_sim.Bep.Pht_gshare { entries = 4096; history_bits = 12 });
+     fun _ _ -> Ba_sim.Bep.gshare);
     ("btb-256x4", "sc", Ba_core.Cost_model.Btb,
-     fun _ _ -> Ba_sim.Bep.Btb_arch { entries = 256; assoc = 4 });
+     fun _ _ -> Ba_sim.Bep.btb256);
   ]
 
 let metrics_json (slug, workload, cost_arch, make_arch) =
@@ -273,9 +273,8 @@ let bound_report () =
   let analyze image =
     Ba_bound.Analyze.analyze
       ~arch:
-        (Ba_delta.Eval.to_arch
-           (Ba_delta.Eval.spec_of_model Ba_core.Cost_model.Btfnt)
-           ~image ~profile)
+        (Ba_sim.Bep.arch_of ~image ~profile
+           (Ba_sim.Bep.of_model Ba_core.Cost_model.Btfnt))
       ~profile image
   in
   let detail (a : Ba_bound.Analyze.t) =

@@ -21,15 +21,7 @@ let workload name =
 (* The harness's seven simulated architectures, likely bits built from the
    image under test as the harness does. *)
 let archs_for image profile =
-  [
-    Ba_sim.Bep.Static_fallthrough;
-    Ba_sim.Bep.Static_btfnt;
-    Ba_sim.Bep.Static_likely (Ba_predict.Likely_bits.build image profile);
-    Ba_sim.Bep.Pht_direct { entries = 4096 };
-    Ba_sim.Bep.Pht_gshare { entries = 4096; history_bits = 12 };
-    Ba_sim.Bep.Btb_arch { entries = 64; assoc = 2 };
-    Ba_sim.Bep.Btb_arch { entries = 256; assoc = 4 };
-  ]
+  List.map (Ba_sim.Bep.arch_of ~image ~profile) Ba_report.Harness.full_archs
 
 (* The canonical algorithm list every wall and standalone gate sweeps.
    Adding a constructor to Ba_core.Align.algo means adding it here (and

@@ -128,13 +128,7 @@ let test_qcheck_soundness =
       in
       List.for_all
         (fun (label, image) ->
-          let archs =
-            archs_for image profile
-            @ [
-                Bep.Pht_global { history_bits = 8 };
-                Bep.Pht_local { history_bits = 8; branch_entries = 64 };
-              ]
-          in
+          let archs = archs_for image profile in
           let out = Runner.simulate ~max_steps:qcheck_steps ~trace ~archs image in
           Array.for_all
             (fun (arch, sim) ->

@@ -32,34 +32,16 @@ let to_alcotest test =
     ~rand:(Random.State.make [| qcheck_seed |])
     test
 
-(* The harness seven, as Eval specs — same order and configurations as
-   [Matrix.archs_for]. *)
-let specs7 =
-  [|
-    Eval.Fallthrough;
-    Eval.Btfnt;
-    Eval.Likely;
-    Eval.Pht_direct { entries = 4096 };
-    Eval.Pht_gshare { entries = 4096; history_bits = 12 };
-    Eval.Btb { entries = 64; assoc = 2 };
-    Eval.Btb { entries = 256; assoc = 4 };
-  |]
-
-(* The two extra dynamic predictors outside the harness seven. *)
-let specs9 =
-  Array.append specs7
-    [|
-      Eval.Pht_global { history_bits = 8 };
-      Eval.Pht_local { history_bits = 8; branch_entries = 64 };
-    |]
+(* The harness seven, the configurations [Matrix.archs_for] simulates. *)
+let configs = Array.of_list Ba_report.Harness.full_archs
 
 (* Reference side: a full trace replay of the candidate layout, one Bep
-   simulator per spec ([Eval.to_arch] builds each spec's architecture from
-   the candidate image, likely bits included). *)
+   simulator per configuration ([Bep.arch_of] builds each configuration's
+   architecture from the candidate image, likely bits included). *)
 let simulate_costs ~specs ~trace ~max_steps ~profile program decisions =
   let image = Ba_layout.Image.build ~profile program decisions in
   let archs =
-    Array.to_list (Array.map (fun s -> Eval.to_arch s ~image ~profile) specs)
+    Array.to_list (Array.map (Ba_sim.Bep.arch_of ~image ~profile) specs)
   in
   let out = Ba_sim.Runner.simulate ~max_steps ~trace ~archs image in
   Array.map (fun (_, sim) -> Ba_sim.Bep.bep sim) out.Ba_sim.Runner.sims
@@ -126,7 +108,7 @@ let test_differential_wall () =
           incr cells;
           moves :=
             !moves
-            + check_cell ~specs:specs7 ~max_steps:wall_steps ~moves_per_cell:5
+            + check_cell ~specs:configs ~max_steps:wall_steps ~moves_per_cell:5
                 ~what program profile trace decisions)
         Matrix.wall_cells);
   (* The CI step summary greps this line out of the test log. *)
@@ -169,7 +151,7 @@ let test_scoped_fallback () =
      (3 vs 4 insns), shifting the loop conditional's address parity — the
      moved layout maps it to the other counter, which the cached base
      pricing cannot express. *)
-  let specs = [| Eval.Pht_direct { entries = 2 } |] in
+  let specs = [| `Arch (Ba_sim.Bep.Pht_direct { entries = 2 }) |] in
   let ev = Eval.create ~specs profile trace decisions in
   let before = (Eval.stats ev).Eval.cond_scoped in
   let moved = Move.apply decisions (Move.swap ~proc:0 1) in
@@ -182,9 +164,28 @@ let test_scoped_fallback () =
     "the swap forced the entry-scoped replay" true
     ((Eval.stats ev).Eval.cond_scoped > before)
 
+(* Fixed hint bits cannot follow a candidate's branch senses: the one
+   configuration the evaluator cannot price is LIKELY with its bits
+   already built, which it refuses rather than misprice. *)
+let test_fixed_likely_refused () =
+  let program = boundary_program () in
+  let profile, trace =
+    Ba_trace.Record.profile_and_record ~max_steps:qcheck_steps program
+  in
+  let image = Ba_layout.Image.original ~profile program in
+  let decisions =
+    Array.init (Ba_ir.Program.n_procs program) (fun p ->
+        Ba_layout.Decision.identity (Ba_ir.Program.proc program p))
+  in
+  let fixed = Ba_sim.Bep.arch_of ~image ~profile `Likely in
+  Alcotest.(check bool) "Invalid_argument" true
+    (match Eval.create ~specs:[| `Arch fixed |] profile trace decisions with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Random programs: the differential property on shapes the workloads do
-   not cover, all nine predictor specs at once. *)
+   not cover, all seven configurations at once. *)
 
 let test_qcheck_differential =
   QCheck.Test.make
@@ -200,7 +201,7 @@ let test_qcheck_differential =
         Ba_core.Align.align_program Ba_core.Align.Greedy
           ~arch:Ba_core.Cost_model.Btfnt profile
       in
-      let ev = Eval.create ~specs:specs9 profile trace decisions in
+      let ev = Eval.create ~specs:configs profile trace decisions in
       let moves =
         sample 4
           (Move.enumerate
@@ -212,7 +213,7 @@ let test_qcheck_differential =
           let moved = Move.apply decisions mv in
           let got = Eval.cost ev moved in
           let want =
-            simulate_costs ~specs:specs9 ~trace ~max_steps:qcheck_steps
+            simulate_costs ~specs:configs ~trace ~max_steps:qcheck_steps
               ~profile program moved
           in
           Array.for_all Fun.id
@@ -223,7 +224,7 @@ let test_qcheck_differential =
                    QCheck.Test.fail_reportf
                      "%a [%s]: delta %d, full replay %d (qcheck seed %d)"
                      Move.pp mv
-                     (Eval.spec_label specs9.(i))
+                     (Eval.spec_label configs.(i))
                      got.(i) w qcheck_seed)
                want))
         moves)
@@ -453,7 +454,7 @@ let test_gap_replay_oracle () =
     (fun model (c : Ba_report.Gap.cell) ->
       let replay decisions =
         let image = Ba_layout.Image.build ~profile program decisions in
-        let arch = Eval.to_arch (Eval.spec_of_model model) ~image ~profile in
+        let arch = Ba_sim.Bep.(arch_of ~image ~profile (of_model model)) in
         let out =
           Ba_sim.Runner.simulate ~max_steps:wall_steps ~trace ~archs:[ arch ]
             image
@@ -462,7 +463,7 @@ let test_gap_replay_oracle () =
       in
       let bounds decisions =
         let image = Ba_layout.Image.build ~profile program decisions in
-        let arch = Eval.to_arch (Eval.spec_of_model model) ~image ~profile in
+        let arch = Ba_sim.Bep.(arch_of ~image ~profile (of_model model)) in
         let i = Ba_bound.Analyze.bounds ~arch ~profile image in
         (i.Ba_bound.Domain.lo, i.Ba_bound.Domain.hi)
       in
@@ -622,6 +623,8 @@ let suites =
           test_differential_wall;
         Alcotest.test_case "set-boundary swap forces scoped replay" `Quick
           test_scoped_fallback;
+        Alcotest.test_case "fixed LIKELY bits refused" `Quick
+          test_fixed_likely_refused;
         to_alcotest test_qcheck_differential;
       ] );
     ( "delta.algebra",

@@ -380,23 +380,11 @@ let test_adversarial_all_cold () =
       ip.Ba_layout.Image.splits.(1) n_blocks
 
 (* ------------------------------------------------------------------ *)
-(* QCheck: random programs.  The nine-spec property reuses Ba_delta's
-   incremental evaluator as a second independent pricing of the ExtTsp
-   layout — the same spec list test_delta's wall sweeps. *)
+(* QCheck: random programs.  The seven-configuration property reuses
+   Ba_delta's incremental evaluator as a second independent pricing of the
+   ExtTsp layout — the same configuration list test_delta's wall sweeps. *)
 
-let specs9 =
-  let open Ba_delta in
-  [|
-    Eval.Fallthrough;
-    Eval.Btfnt;
-    Eval.Likely;
-    Eval.Pht_direct { entries = 4096 };
-    Eval.Pht_gshare { entries = 4096; history_bits = 12 };
-    Eval.Btb { entries = 64; assoc = 2 };
-    Eval.Btb { entries = 256; assoc = 4 };
-    Eval.Pht_global { history_bits = 8 };
-    Eval.Pht_local { history_bits = 8; branch_entries = 64 };
-  |]
+let configs = Array.of_list Ba_report.Harness.full_archs
 
 let prop_incremental_random =
   QCheck.Test.make ~count:30
@@ -430,11 +418,11 @@ let prop_incremental_random =
       done;
       true)
 
-let prop_nine_spec_differential =
+let prop_seven_config_differential =
   QCheck.Test.make ~count:15
     ~name:
       (Printf.sprintf
-         "exttsp: layout priced exactly on 9 predictor specs (seed %d)"
+         "exttsp: layout priced exactly on the 7 configurations (seed %d)"
          qcheck_seed)
     Gen_prog.program_arb
     (fun program ->
@@ -442,13 +430,10 @@ let prop_nine_spec_differential =
         Ba_trace.Record.profile_and_record ~max_steps:qcheck_steps program
       in
       let decisions = exttsp_decisions ~profile in
-      let ev = Ba_delta.Eval.create ~specs:specs9 profile trace decisions in
+      let ev = Ba_delta.Eval.create ~specs:configs profile trace decisions in
       let got = Ba_delta.Eval.cost ev decisions in
       let image = Ba_layout.Image.build ~profile program decisions in
-      let archs =
-        Array.to_list
-          (Array.map (fun s -> Ba_delta.Eval.to_arch s ~image ~profile) specs9)
-      in
+      let archs = Matrix.archs_for image profile in
       let out =
         Ba_sim.Runner.simulate ~max_steps:qcheck_steps ~trace ~archs image
       in
@@ -457,7 +442,7 @@ let prop_nine_spec_differential =
           let want = Ba_sim.Bep.bep sim in
           if want <> got.(i) then
             QCheck.Test.fail_reportf "[%s] replay %d <> incremental %d"
-              (Ba_delta.Eval.spec_label specs9.(i))
+              (Ba_delta.Eval.spec_label configs.(i))
               want got.(i))
         out.Ba_sim.Runner.sims;
       true)
@@ -526,7 +511,7 @@ let suites =
         Alcotest.test_case "adversarial: all-cold procedure" `Quick
           test_adversarial_all_cold;
         to_alcotest prop_incremental_random;
-        to_alcotest prop_nine_spec_differential;
+        to_alcotest prop_seven_config_differential;
         to_alcotest prop_interproc_random;
       ] );
   ]

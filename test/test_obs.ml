@@ -290,10 +290,10 @@ let invariant_archs =
   [
     Ba_sim.Bep.Static_fallthrough;
     Ba_sim.Bep.Static_btfnt;
-    Ba_sim.Bep.Pht_direct { entries = 4096 };
-    Ba_sim.Bep.Pht_gshare { entries = 4096; history_bits = 12 };
-    Ba_sim.Bep.Btb_arch { entries = 64; assoc = 2 };
-    Ba_sim.Bep.Btb_arch { entries = 256; assoc = 4 };
+    Ba_sim.Bep.pht_direct;
+    Ba_sim.Bep.gshare;
+    Ba_sim.Bep.btb64;
+    Ba_sim.Bep.btb256;
   ]
 
 (* For every workload in the suite: the sim.bep.* counters must agree

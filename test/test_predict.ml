@@ -93,67 +93,6 @@ let test_gshare_history_masking () =
   done;
   Alcotest.(check int) "entries" 16 (Pht.entries pht)
 
-(* -- Two_level --------------------------------------------------------------- *)
-
-let test_local_learns_loop_pattern () =
-  (* A branch with a fixed period-4 pattern (three taken, one not) is
-     perfectly predictable from 3+ bits of its own history, even when an
-     unrelated noisy branch interleaves with it. *)
-  let two = Two_level.create_local ~history_bits:4 ~branch_entries:64 () in
-  let noise = Ba_util.Rng.create 7 in
-  let correct = ref 0 in
-  let n = 2000 in
-  for i = 1 to n do
-    let taken = i mod 4 <> 0 in
-    if Two_level.access two ~pc:5 ~taken = taken then incr correct;
-    (* Interleaved random branch at another address. *)
-    ignore (Two_level.access two ~pc:9 ~taken:(Ba_util.Rng.bool noise) : bool)
-  done;
-  let accuracy = float_of_int !correct /. float_of_int n in
-  Alcotest.(check bool)
-    (Printf.sprintf "local accuracy %.2f on period-4 pattern" accuracy)
-    true (accuracy > 0.95)
-
-let test_global_learns_global_pattern () =
-  (* With a single branch, global history equals local history: a strict
-     alternation is learned perfectly. *)
-  let two = Two_level.create_global ~history_bits:4 () in
-  let correct = ref 0 in
-  for i = 1 to 1000 do
-    let taken = i mod 2 = 0 in
-    if Two_level.access two ~pc:0 ~taken = taken then incr correct
-  done;
-  Alcotest.(check bool) "global learns alternation" true (!correct > 950)
-
-let test_global_ignores_address () =
-  (* Pan et al.'s degenerate scheme uses no branch address: two branches
-     with the same history index the same counter.  Two tables trained
-     alike answer alike at different addresses. *)
-  let trained () =
-    let two = Two_level.create_global ~history_bits:4 () in
-    for _ = 1 to 8 do
-      ignore (Two_level.access two ~pc:100 ~taken:true : bool)
-    done;
-    two
-  in
-  Alcotest.(check bool) "prediction shared across addresses" true
-    (Two_level.access (trained ()) ~pc:100 ~taken:false
-    = Two_level.access (trained ()) ~pc:999 ~taken:false)
-
-let test_two_level_names () =
-  Alcotest.(check string) "global" "global-2level-16"
-    (Two_level.name (Two_level.create_global ~history_bits:4 ()));
-  Alcotest.(check string) "local" "local-2level-16"
-    (Two_level.name (Two_level.create_local ~history_bits:4 ~branch_entries:8 ()))
-
-let test_two_level_validation () =
-  Alcotest.(check bool) "bad bits" true
-    (try ignore (Two_level.create_global ~history_bits:0 ()); false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "bad entries" true
-    (try ignore (Two_level.create_local ~branch_entries:12 ()); false
-     with Invalid_argument _ -> true)
-
 (* -- Btb ------------------------------------------------------------------- *)
 
 (* [Btb.access] and [Btb.probe] pack their answer: -1 on a miss, else
@@ -676,14 +615,6 @@ let suites =
         Alcotest.test_case "bad sizes" `Quick test_pht_rejects_bad_sizes;
         Alcotest.test_case "gshare alternation" `Quick test_gshare_learns_alternation;
         Alcotest.test_case "gshare masking" `Quick test_gshare_history_masking;
-      ] );
-    ( "predict.two_level",
-      [
-        Alcotest.test_case "local learns pattern" `Quick test_local_learns_loop_pattern;
-        Alcotest.test_case "global learns pattern" `Quick test_global_learns_global_pattern;
-        Alcotest.test_case "global ignores address" `Quick test_global_ignores_address;
-        Alcotest.test_case "names" `Quick test_two_level_names;
-        Alcotest.test_case "validation" `Quick test_two_level_validation;
       ] );
     ( "predict.btb",
       [

@@ -204,8 +204,12 @@ let test_runner_multiple_archs () =
   Array.iter
     (fun (_, sim) -> Alcotest.(check int) "cond count" 100 (Bep.counts sim).Bep.cond)
     out.Runner.sims;
-  let cpis = Runner.relative_cpis out ~orig_insns:out.Runner.result.Engine.insns in
-  List.iter (fun (_, cpi) -> Alcotest.(check bool) "cpi >= 1" true (cpi >= 1.0)) cpis
+  let insns = out.Runner.result.Engine.insns in
+  Array.iter
+    (fun (_, sim) ->
+      Alcotest.(check bool) "cpi >= 1" true
+        (Bep.relative_cpi sim ~insns ~orig_insns:insns >= 1.0))
+    out.Runner.sims
 
 let test_runner_stats_attached () =
   let prog = loop_program () in
@@ -290,18 +294,7 @@ let test_alloc_wall () =
           measure
             (Printf.sprintf "%s %s" name (Bep.arch_label arch))
             (fun () -> Ba_trace.Replay.run ~on_event:(Bep.on_event sim) flat trace))
-        Bep.
-          [
-            Static_fallthrough;
-            Static_btfnt;
-            Static_likely (Ba_predict.Likely_bits.build image profile);
-            Pht_direct { entries = 4096 };
-            Pht_gshare { entries = 4096; history_bits = 12 };
-            Pht_global { history_bits = 12 };
-            Pht_local { history_bits = 12; branch_entries = 1024 };
-            Btb_arch { entries = 64; assoc = 2 };
-            Btb_arch { entries = 256; assoc = 4 };
-          ];
+        (Matrix.archs_for image profile);
       let issue =
         Ba_isa.Pairing.prefix_table (Ba_isa.Codegen.of_image ~fp_fraction:0.08 image)
       in

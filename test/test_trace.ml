@@ -439,8 +439,6 @@ let archs =
       Static_btfnt;
       Pht_direct { entries = 512 };
       Pht_gshare { entries = 512; history_bits = 8 };
-      Pht_global { history_bits = 8 };
-      Pht_local { history_bits = 6; branch_entries = 64 };
       Btb_arch { entries = 64; assoc = 2 };
     ]
 

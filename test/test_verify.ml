@@ -307,7 +307,7 @@ let test_pipeline_builds_once () =
   in
   let align, lower =
     spans (fun () ->
-        let report = Ba_verify.Run.lint ~arch ~profile algo in
+        let report = Ba_verify.Run.lint ~trace ~arch ~profile algo in
         Alcotest.(check bool) "bound stage ran" true
           (Ba_analysis.Run.ran report Ba_analysis.Run.Bound))
   in
@@ -325,6 +325,30 @@ let test_pipeline_builds_once () =
     true (verify_lower <= 5);
   Printf.printf "pipeline spans: lint %d align, %d lower; verify %d lower\n"
     align lower verify_lower
+
+(* Lint and verify audit the same layout with the same trace, so their
+   findings agree to the letter, simulator figures included.  On wave5's
+   Greedy layout under FALLTHROUGH one suggested move saves 2376.0
+   expected cycles and 3572 simulated ones. *)
+let test_lint_audit_is_verify_audit () =
+  let w = Option.get (Ba_workloads.Spec.by_name "wave5") in
+  let _program, profile, trace = Ba_workloads.Profiled.get_traced ~max_steps w in
+  let arch = Ba_core.Cost_model.Fallthrough in
+  let algo = Ba_delta.Algo.Core Ba_core.Align.Greedy in
+  let rows ds = List.map Ba_analysis.Diagnostic.to_row ds in
+  let lint =
+    List.assoc Ba_analysis.Run.Audit
+      (Ba_verify.Run.lint ~trace ~arch ~profile algo).Ba_analysis.Run.stages
+  in
+  let verify = (Ba_verify.Run.verify ~trace ~arch ~profile algo).Ba_verify.Run.audit in
+  Alcotest.(check (list (list string))) "lint's audit = verify's" (rows verify)
+    (rows lint);
+  Alcotest.(check bool) "lint quotes the simulator figure" true
+    (List.exists
+       (fun (d : Ba_analysis.Diagnostic.t) ->
+         Test_util.contains_substring d.Ba_analysis.Diagnostic.message
+           "(simulator: +3572 cycles)")
+       lint)
 
 (* --- JSON emitter ------------------------------------------------------- *)
 
@@ -381,6 +405,8 @@ let suites =
       [
         Alcotest.test_case "lint aligns once, verify builds once" `Quick
           test_pipeline_builds_once;
+        Alcotest.test_case "lint's audit is verify's audit" `Quick
+          test_lint_audit_is_verify_audit;
       ] );
     ( "verify.json",
       [
