@@ -68,12 +68,12 @@ let run_cmd name algo arch interproc max_steps =
      semantic trace; both images below replay instead of re-interpreting. *)
   let program, profile, trace = Ba_workloads.Profiled.get_traced ~max_steps workload in
   let run_image =
-    Ba_report.Harness.run_image ~max_steps ~profile ~trace
+    Ba_report.Harness.run_image ~profile ~trace
       ~archs:Ba_report.Harness.simulate_archs
   in
   let orig_image = Ba_layout.Image.original ~profile program in
   let orig = run_image orig_image in
-  let orig_insns = orig.Ba_sim.Runner.result.Ba_exec.Engine.insns in
+  let orig_insns = orig.Ba_report.Harness.result.Ba_exec.Engine.insns in
   let aligned_image =
     if interproc then
       let decisions = Ba_delta.Algo.decisions algo ~arch profile in
@@ -89,11 +89,11 @@ let run_cmd name algo arch interproc max_steps =
     (if interproc then ", inter-procedural layout" else "");
   Printf.printf "instructions: %s -> %s  (code size %d -> %d)\n"
     (Ba_util.Ascii_table.int_cell orig_insns)
-    (Ba_util.Ascii_table.int_cell aligned.Ba_sim.Runner.result.Ba_exec.Engine.insns)
+    (Ba_util.Ascii_table.int_cell aligned.Ba_report.Harness.result.Ba_exec.Engine.insns)
     orig_image.Ba_layout.Image.total_size aligned_image.Ba_layout.Image.total_size;
   Printf.printf "fall-through conditionals: %.1f%% -> %.1f%%\n\n"
-    (Ba_exec.Trace_stats.pct_cond_fallthrough orig.Ba_sim.Runner.stats)
-    (Ba_exec.Trace_stats.pct_cond_fallthrough aligned.Ba_sim.Runner.stats);
+    orig.Ba_report.Harness.pct_ft
+    aligned.Ba_report.Harness.pct_ft;
   let columns =
     Ba_util.Ascii_table.
       [
@@ -103,16 +103,16 @@ let run_cmd name algo arch interproc max_steps =
   in
   let rows =
     List.mapi
-      (fun i (arch, _) ->
+      (fun i (config, _) ->
         let ocpi = Ba_report.Harness.cpi orig ~orig_insns i in
         let acpi = Ba_report.Harness.cpi aligned ~orig_insns i in
         [
-          Ba_sim.Bep.arch_label arch;
+          Ba_sim.Bep.config_label config;
           Ba_util.Ascii_table.float_cell ocpi;
           Ba_util.Ascii_table.float_cell acpi;
           Ba_util.Ascii_table.float_cell ~decimals:1 (100.0 *. (1.0 -. (acpi /. ocpi)));
         ])
-      (Array.to_list orig.Ba_sim.Runner.sims)
+      (Array.to_list orig.Ba_report.Harness.rows)
   in
   print_string (Ba_util.Ascii_table.render ~columns ~rows)
 
@@ -163,8 +163,9 @@ let align_cmd name algo arch seed sweeps max_steps jobs =
   Printf.printf "simulated penalty cycles (%s): %d\n"
     l.Ba_delta.Algo.penalty_model l.Ba_delta.Algo.penalty_cycles
 
-(* The per-architecture table [simulate] and [trace replay] print. *)
-let print_sims sims =
+(* The per-architecture table [simulate] and [trace replay] print: one row
+   of books per labelled architecture. *)
+let print_sims rows =
   let columns =
     Ba_util.Ascii_table.
       [
@@ -174,16 +175,16 @@ let print_sims sims =
   in
   let rows =
     List.map
-      (fun (arch, sim) ->
+      (fun (label, (books : Ba_sim.Bep.counts)) ->
         [
-          Ba_sim.Bep.arch_label arch;
+          label;
           Ba_util.Ascii_table.float_cell ~decimals:1
-            (100.0 *. Ba_sim.Bep.cond_accuracy sim);
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.counts sim).Ba_sim.Bep.misfetches;
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.counts sim).Ba_sim.Bep.mispredicts;
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.bep sim);
+            (100.0 *. Ba_sim.Bep.accuracy books);
+          Ba_util.Ascii_table.int_cell books.Ba_sim.Bep.misfetches;
+          Ba_util.Ascii_table.int_cell books.Ba_sim.Bep.mispredicts;
+          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.cycles books);
         ])
-      (Array.to_list sims)
+      rows
   in
   print_string (Ba_util.Ascii_table.render ~columns ~rows)
 
@@ -203,7 +204,7 @@ let simulate_cmd name algo arch max_steps metrics =
         let _program, profile, trace =
           Ba_workloads.Profiled.get_traced ~max_steps workload
         in
-        Ba_report.Harness.run_image ~max_steps ~profile ~trace
+        Ba_report.Harness.run_image ~profile ~trace
           ~archs:Ba_report.Harness.simulate_archs
           (Ba_delta.Algo.image algo ~arch profile))
   in
@@ -211,9 +212,12 @@ let simulate_cmd name algo arch max_steps metrics =
     workload.Ba_workloads.Spec.name
     (Ba_delta.Algo.name algo)
     (Ba_core.Cost_model.arch_name arch)
-    (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.branches)
-    (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.insns);
-  print_sims out.Ba_sim.Runner.sims;
+    (Ba_util.Ascii_table.int_cell out.Ba_report.Harness.result.Ba_exec.Engine.branches)
+    (Ba_util.Ascii_table.int_cell out.Ba_report.Harness.result.Ba_exec.Engine.insns);
+  print_sims
+    (List.map
+       (fun (config, books) -> (Ba_sim.Bep.config_label config, books))
+       (Array.to_list out.Ba_report.Harness.rows));
   match (metrics, registry) with
   | Some format, Some r ->
     print_endline "\n== Pipeline metrics ==";
@@ -300,7 +304,10 @@ let trace_replay_cmd name path algo arch =
     (Ba_delta.Algo.name algo)
     (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.branches)
     (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.insns);
-  print_sims out.Ba_sim.Runner.sims
+  print_sims
+    (List.map
+       (fun (arch, sim) -> (Ba_sim.Bep.arch_label arch, Ba_sim.Bep.counts sim))
+       (Array.to_list out.Ba_sim.Runner.sims))
 
 let disasm_cmd name algo arch proc_id max_steps =
   let workload = lookup name in

@@ -216,11 +216,10 @@ let run_ablation a max_steps only =
           Ba_trace.Record.profile_and_record ~max_steps program
         in
         let run =
-          Ba_report.Harness.run_image ~max_steps ~profile ~trace
-            ~archs:[ a.arch ]
+          Ba_report.Harness.run_image ~profile ~trace ~archs:[ a.arch ]
         in
         let orig = run (Ba_layout.Image.original ~profile program) in
-        let orig_insns = orig.Ba_sim.Runner.result.Ba_exec.Engine.insns in
+        let orig_insns = orig.Ba_report.Harness.result.Ba_exec.Engine.insns in
         let cell out = float_cell (Ba_report.Harness.cpi out ~orig_insns 0) in
         w.name
         :: (if a.orig_column then [ cell orig ] else [])
@@ -352,22 +351,19 @@ let ablation_unroll max_steps only =
     List.map
       (fun (w : Ba_workloads.Spec.t) ->
         let program = w.build () in
-        (* One recording pass per distinct program (the unrolled variants are
-           different programs with their own decision streams). *)
-        let base_profile, base_trace =
-          Ba_trace.Record.profile_and_record ~max_steps program
+        (* One recording pass and one walk per distinct program (the
+           unrolled variants are different programs with their own decision
+           streams). *)
+        let scorer program =
+          let profile, trace = Ba_trace.Record.profile_and_record ~max_steps program in
+          (profile, Ba_report.Harness.run_image ~profile ~trace ~archs:fallthrough)
         in
-        let orig =
-          Ba_report.Harness.run_image ~max_steps ~profile:base_profile
-            ~trace:base_trace ~archs:fallthrough
-            (Ba_layout.Image.original program)
-        in
-        let orig_insns = orig.Ba_sim.Runner.result.Ba_exec.Engine.insns in
-        let try15_cpi (profile, trace) =
+        let base_profile, base_run = scorer program in
+        let orig = base_run (Ba_layout.Image.original program) in
+        let orig_insns = orig.Ba_report.Harness.result.Ba_exec.Engine.insns in
+        let try15_cpi (profile, run) =
           Ba_report.Harness.cpi ~orig_insns
-            (Ba_report.Harness.run_image ~max_steps ~profile ~trace
-               ~archs:fallthrough
-               (aligned try15 Ba_core.Cost_model.Fallthrough profile))
+            (run (aligned try15 Ba_core.Cost_model.Fallthrough profile))
             0
         in
         let sites = List.length (Ba_core.Unroll.unrollable_self_loops program ~factor:2) in
@@ -375,14 +371,12 @@ let ablation_unroll max_steps only =
           w.name;
           string_of_int sites;
           Ba_util.Ascii_table.float_cell (Ba_report.Harness.cpi orig ~orig_insns 0);
-          Ba_util.Ascii_table.float_cell (try15_cpi (base_profile, base_trace));
+          Ba_util.Ascii_table.float_cell (try15_cpi (base_profile, base_run));
         ]
         @ List.map
             (fun factor ->
               Ba_util.Ascii_table.float_cell
-                (try15_cpi
-                   (Ba_trace.Record.profile_and_record ~max_steps
-                      (Ba_core.Unroll.unroll_self_loops ~factor program))))
+                (try15_cpi (scorer (Ba_core.Unroll.unroll_self_loops ~factor program))))
             factors)
       (select ~defaults:(named [ "alvinn"; "ear" ]) only)
   in
@@ -413,12 +407,12 @@ let ablation_cross_input max_steps only =
         let alt_profile, alt_trace =
           Ba_trace.Record.profile_and_record ~max_steps alt
         in
-        let run image =
-          Ba_report.Harness.run_image ~max_steps ~profile:alt_profile
-            ~trace:alt_trace ~archs:fallthrough image
+        let run =
+          Ba_report.Harness.run_image ~profile:alt_profile ~trace:alt_trace
+            ~archs:fallthrough
         in
         let orig = run (Ba_layout.Image.original alt) in
-        let orig_insns = orig.Ba_sim.Runner.result.Ba_exec.Engine.insns in
+        let orig_insns = orig.Ba_report.Harness.result.Ba_exec.Engine.insns in
         let cell out =
           Ba_util.Ascii_table.float_cell (Ba_report.Harness.cpi out ~orig_insns 0)
         in

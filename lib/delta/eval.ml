@@ -5,13 +5,14 @@ open Ba_sim
 
 (* Simulator-exact candidate pricing.
 
-   [Stream.build] runs the replay walk once; after that, pricing a candidate
-   layout is a function of its geometry only (block addresses, operand
-   values, branch senses).  Per architecture family:
+   One [Stream] walk of the trace runs once; after that, pricing a
+   candidate layout is a function of its geometry only (block addresses,
+   operand values, branch senses).  Per architecture family:
 
    - {b static rules} (fallthrough / BTFNT / likely): every prediction is a
-     pure per-site function of the candidate geometry, so the whole cost is
-     a closed form over per-site counts — no replay at all;
+     pure per-site function of the candidate geometry, so every field of
+     the simulator's books is a closed form over per-site counts — no
+     replay and no per-step records at all ([static_books]);
    - {b tables} (direct PHT, gshare): misfetch traffic stays closed-form;
      only the conditional direction stream is history-dependent, and that
      substream is replayed against a real predictor instance.  Two fast
@@ -24,8 +25,8 @@ open Ba_sim
      so the exact event stream the replayer would produce on the candidate
      is synthesised from the step records and fed to a real {!Bep.t}.
 
-   The differential wall in [test_delta.ml] holds every path to bit
-   equality with [Runner.simulate]. *)
+   The differential and static walls in [test_delta.ml] hold every path to
+   bit equality with [Runner.simulate]. *)
 
 let spec_label : Bep.config -> string = function
   | `Arch Bep.Static_fallthrough -> "fallthrough"
@@ -44,7 +45,6 @@ type stats = {
   mutable cond_scoped : int;
   mutable cond_replayed : int;
   mutable machine_runs : int;
-  mutable ras_substreams : int;
 }
 
 (* Candidate geometry: everything layout-dependent the penalty model
@@ -62,145 +62,161 @@ let penalties = Bep.penalties
 let scoped_max = 32
 
 type t = {
-  stream : Stream.t;
+  counts : Stream.counts;
+  records : Stream.records;  (* empty unless a table or BTB spec reads them *)
   profile : Ba_cfg.Profile.t;
   specs : Bep.config array;
-  ras_risky : bool;  (* deeper calls than the stack: pops can be wrong *)
   base_geom : geom;
   base_cond : int array;  (* cached cond penalty per table spec, else 0 *)
   stats : stats;
 }
 
-let geom_of ~stream:st ~profile decisions =
-  let program = st.Stream.program in
-  let image = Image.build ~profile program decisions in
+(* The candidate image's geometry, per site: its layout blocks name their
+   semantic blocks, so any image of the program resolves, whatever built
+   it. *)
+let geom_of_image (c : Stream.counts) (image : Image.t) =
   let flat = Flat.of_image image in
-  let n = st.Stream.n_sites in
+  let n = c.Stream.n_sites in
   let to_g = Array.make n 0 in
-  let bpc = Array.make n 0 in
   Array.iteri
-    (fun p (d : Decision.t) ->
-      let pos = Decision.position d in
-      let base = st.Stream.pbase.(p) in
-      Array.iteri (fun b q -> to_g.(base + b) <- base + q) pos)
-    decisions;
+    (fun p (lin : Linear.t) ->
+      let base = flat.Flat.pbase.(p) in
+      Array.iteri
+        (fun q (lb : Linear.lblock) -> to_g.(c.Stream.pbase.(p) + lb.Linear.src) <- base + q)
+        lin.Linear.blocks)
+    image.Image.linears;
   let addr = flat.Flat.addr and insns = flat.Flat.insns in
-  for s = 0 to n - 1 do
-    let g = to_g.(s) in
-    bpc.(s) <- addr.(g) + insns.(g)
-  done;
+  let bpc = Array.init n (fun s -> addr.(to_g.(s)) + insns.(to_g.(s))) in
   { flat; to_g; bpc }
 
-let make_geom t decisions = geom_of ~stream:t.stream ~profile:t.profile decisions
+let make_geom t decisions =
+  geom_of_image t.counts (Image.build ~profile:t.profile t.counts.Stream.program decisions)
 
-(* Misfetch / mispredict counts from everything except conditional-branch
-   direction predictions and returns: direct jumps, inserted jumps after a
-   falling-through conditional, calls, return-leg jumps, switch and vcall
-   targets.  Closed form for the static rules and the tables ([Bep]
-   treats them identically here); the BTB never uses this. *)
-let noncond_counts t geom =
-  let st = t.stream in
+let zero_books () =
+  {
+    Bep.misfetches = 0;
+    mispredicts = 0;
+    cond = 0;
+    cond_taken = 0;
+    cond_correct = 0;
+    uncond = 0;
+    calls = 0;
+    indirect = 0;
+    rets = 0;
+    rets_correct = 0;
+  }
+
+(* The books of everything but conditional-direction predictions: direct
+   jumps, inserted jumps after a falling-through conditional, calls and
+   return-leg jumps misfetch; switch and vcall targets mispredict, and so
+   do the returns the walk counted.  Closed form for the static rules and
+   the tables ([Bep] treats them identically here); the BTB never uses
+   this.  Conditional executions and their taken share are filled in too:
+   they follow the layout's senses, not the predictor. *)
+let noncond_books (c : Stream.counts) geom =
   let fl = geom.flat in
-  let mf = ref 0 and mp = ref 0 in
-  for s = 0 to st.Stream.n_sites - 1 do
-    let n = st.Stream.n_exec.(s) in
+  let b = zero_books () in
+  for s = 0 to c.Stream.n_sites - 1 do
+    let n = c.Stream.n_exec.(s) in
     if n > 0 then begin
       let g = geom.to_g.(s) in
       let op = fl.Flat.opcode.(g) in
-      if op = Flat.ojump then mf := !mf + n
+      if op = Flat.ojump then b.Bep.uncond <- b.Bep.uncond + n
       else if op = Flat.ocond then begin
-        if fl.Flat.c.(g) >= 0 then
-          (* inserted jump: taken once per fall-through execution *)
-          mf :=
-            !mf
-            + (if fl.Flat.b.(g) = 1 then st.Stream.n_false.(s)
-               else st.Stream.n_true.(s))
+        let n_taken = if fl.Flat.b.(g) = 1 then c.Stream.n_true.(s) else c.Stream.n_false.(s) in
+        b.Bep.cond <- b.Bep.cond + n;
+        b.Bep.cond_taken <- b.Bep.cond_taken + n_taken;
+        (* inserted jump: taken once per fall-through execution *)
+        if fl.Flat.c.(g) >= 0 then b.Bep.uncond <- b.Bep.uncond + n - n_taken
       end
-      else if op = Flat.oswitch then mp := !mp + n
-      else if op = Flat.ocall then begin
-        mf := !mf + n;
-        if fl.Flat.b.(g) >= 0 then mf := !mf + st.Stream.n_rets_to.(s)
+      else if op = Flat.oswitch then b.Bep.indirect <- b.Bep.indirect + n
+      else if op = Flat.ocall || op = Flat.ovcall then begin
+        if op = Flat.ocall then b.Bep.calls <- b.Bep.calls + n
+        else b.Bep.indirect <- b.Bep.indirect + n;
+        if fl.Flat.b.(g) >= 0 then b.Bep.uncond <- b.Bep.uncond + c.Stream.n_rets_to.(s)
       end
-      else if op = Flat.ovcall then begin
-        mp := !mp + n;
-        if fl.Flat.b.(g) >= 0 then mf := !mf + st.Stream.n_rets_to.(s)
-      end
+      else if op = Flat.oret then b.Bep.rets <- b.Bep.rets + n
     end
   done;
-  (!mf, !mp)
+  b.Bep.rets_correct <- b.Bep.rets - c.Stream.ret_mispredicts;
+  b.Bep.misfetches <- b.Bep.uncond + b.Bep.calls;
+  b.Bep.mispredicts <- b.Bep.indirect + c.Stream.ret_mispredicts;
+  b
 
-(* Return mispredicts.  The replayer pushes the call's fall-through pc and
-   resumes exactly there, so while the semantic call depth never exceeds
-   the stack depth, every non-underflow pop is correct and every underflow
-   pops the empty sentinel: the count is just [n_underflow].  Deeper runs
-   can wrap the circular stack, so the call/return substream is replayed
-   against a real {!Return_stack.t} under the candidate geometry. *)
-let ret_mp_count t geom =
-  let st = t.stream in
-  if not t.ras_risky then st.Stream.n_underflow
-  else begin
-    t.stats.ras_substreams <- t.stats.ras_substreams + 1;
-    let fl = geom.flat in
-    let ras = Return_stack.create ~depth:Bep.return_stack_depth in
-    let mp = ref 0 in
-    let ri = ref 0 in
-    Array.iter
-      (fun r ->
-        let tag = r land 7 in
-        if tag = Stream.tag_call || tag = Stream.tag_vcall then
-          Return_stack.push ras (geom.bpc.(r lsr 3) + 1)
-        else if tag = Stream.tag_ret then begin
-          let f = st.Stream.ret_frames.(!ri) in
-          incr ri;
-          let target =
-            if f < 0 then 0
-            else begin
-              let gf = geom.to_g.(f) in
-              let jpc = fl.Flat.b.(gf) in
-              if jpc >= 0 then jpc else fl.Flat.addr.(fl.Flat.c.(gf))
-            end
-          in
-          if Return_stack.pop ras <> target then incr mp
-        end)
-      st.Stream.recs;
-    !mp
-  end
-
-(* Conditional penalties under a static rule: the prediction is a pure
+(* Conditional books under a static rule: the prediction is a pure
    per-site function of the candidate geometry, so each site contributes a
-   closed form of its taken / fall-through execution counts. *)
-let rule_cond_counts t geom spec =
-  let st = t.stream in
+   closed form of its taken / fall-through execution counts.  LIKELY's
+   hint is the profile's majority direction, as the simulator's
+   {!Ba_predict.Likely_bits} for this image would hold it.  Returns a copy
+   of [common], the {!noncond_books}, with the conditional books added. *)
+let rule_books (c : Stream.counts) ~profile geom spec common =
   let fl = geom.flat in
-  let mf = ref 0 and mp = ref 0 in
-  for s = 0 to st.Stream.n_sites - 1 do
-    if st.Stream.opcode.(s) = Flat.ocond && st.Stream.n_exec.(s) > 0 then begin
+  let b = { common with Bep.cond_correct = common.Bep.cond_correct } in
+  for s = 0 to c.Stream.n_sites - 1 do
+    if c.Stream.opcode.(s) = Flat.ocond && c.Stream.n_exec.(s) > 0 then begin
       let g = geom.to_g.(s) in
       let sense = fl.Flat.b.(g) = 1 in
-      let n_taken = if sense then st.Stream.n_true.(s) else st.Stream.n_false.(s) in
-      let n_fall = st.Stream.n_exec.(s) - n_taken in
+      let n_taken = if sense then c.Stream.n_true.(s) else c.Stream.n_false.(s) in
+      let n_fall = c.Stream.n_exec.(s) - n_taken in
       let predict_taken =
         match spec with
         | `Arch Bep.Static_fallthrough -> false
         | `Arch Bep.Static_btfnt -> fl.Flat.addr.(fl.Flat.a.(g)) <= geom.bpc.(s)
         | `Likely ->
-          (* = the Likely_bits hint the simulator would build for this
-             candidate image *)
           let n_true, n_false =
-            Ba_cfg.Profile.cond_counts t.profile st.Stream.site_proc.(s)
-              st.Stream.site_block.(s)
+            Ba_cfg.Profile.cond_counts profile c.Stream.site_proc.(s)
+              c.Stream.site_block.(s)
           in
           n_true >= n_false = sense
-        | _ -> assert false
+        | _ -> invalid_arg "Ba_delta.Eval: not a static rule"
       in
       if predict_taken then begin
-        mf := !mf + n_taken;
-        mp := !mp + n_fall
+        b.Bep.misfetches <- b.Bep.misfetches + n_taken;
+        b.Bep.mispredicts <- b.Bep.mispredicts + n_fall;
+        b.Bep.cond_correct <- b.Bep.cond_correct + n_taken
       end
-      else mp := !mp + n_taken
+      else begin
+        b.Bep.mispredicts <- b.Bep.mispredicts + n_taken;
+        b.Bep.cond_correct <- b.Bep.cond_correct + n_fall
+      end
     end
   done;
-  (!mf, !mp)
+  b
+
+let is_static = function
+  | `Arch (Bep.Static_fallthrough | Bep.Static_btfnt) | `Likely -> true
+  | `Arch (Bep.Static_likely _ | Bep.Pht_direct _ | Bep.Pht_gshare _ | Bep.Btb_arch _) ->
+    false
+
+(* The replay's result on the candidate image: every branch event is one
+   branch instruction, and a halt is one more. *)
+let result_of (c : Stream.counts) geom (b : Bep.counts) =
+  let fl = geom.flat in
+  let body = ref 0 in
+  for s = 0 to c.Stream.n_sites - 1 do
+    let n = c.Stream.n_exec.(s) in
+    if n > 0 then begin
+      let g = geom.to_g.(s) in
+      body := !body + (n * fl.Flat.insns.(g));
+      if fl.Flat.opcode.(g) = Flat.ohalt then body := !body + n
+    end
+  done;
+  let branches = b.Bep.cond + b.Bep.uncond + b.Bep.calls + b.Bep.indirect + b.Bep.rets in
+  {
+    Ba_exec.Engine.insns = !body + branches;
+    steps = c.Stream.n_steps;
+    branches;
+    completed = c.Stream.completed;
+  }
+
+let static_books counts ~profile configs image =
+  if not (List.for_all is_static configs) then
+    invalid_arg "Ba_delta.Eval.static_books: not a static configuration";
+  let geom = geom_of_image counts image in
+  let common = noncond_books counts geom in
+  ( result_of counts geom common,
+    common,
+    List.map (fun spec -> rule_books counts ~profile geom spec common) configs )
 
 (* Full conditional-substream replay against a real predictor. *)
 let replay_cond t geom ~access =
@@ -217,7 +233,7 @@ let replay_cond t geom ~access =
         if taken then pen := !pen + mfp
       end
       else pen := !pen + mpp)
-    t.stream.Stream.cond_recs;
+    t.records.Stream.cond_recs;
   !pen
 
 let full_cond_penalty t geom spec =
@@ -233,11 +249,11 @@ let full_cond_penalty t geom spec =
 (* Executed conditional sites whose branch pc or sense differ from the
    base geometry — the only sites that can perturb table state. *)
 let changed_conds t geom =
-  let st = t.stream in
+  let c = t.counts in
   let fl = geom.flat and bfl = t.base_geom.flat in
   let acc = ref [] in
-  for s = st.Stream.n_sites - 1 downto 0 do
-    if st.Stream.opcode.(s) = Flat.ocond && st.Stream.n_exec.(s) > 0 then begin
+  for s = c.Stream.n_sites - 1 downto 0 do
+    if c.Stream.opcode.(s) = Flat.ocond && c.Stream.n_exec.(s) > 0 then begin
       let sense = fl.Flat.b.(geom.to_g.(s)) in
       let bsense = bfl.Flat.b.(t.base_geom.to_g.(s)) in
       if sense <> bsense || geom.bpc.(s) <> t.base_geom.bpc.(s) then
@@ -288,7 +304,7 @@ let scoped_direct_penalty t geom ~entries changed cached_base =
         end
         else cand_pen := !cand_pen + mpp
       end)
-    t.stream.Stream.cond_recs;
+    t.records.Stream.cond_recs;
   cached_base - !base_pen + !cand_pen
 
 (* A single pc change perturbs gshare's shared history for every later
@@ -311,7 +327,7 @@ let table_cond_penalty t geom ix spec =
 let machine_run t geom arch =
   t.stats.machine_runs <- t.stats.machine_runs + 1;
   let sim = Bep.create arch in
-  let st = t.stream and fl = geom.flat in
+  let st = t.records and fl = geom.flat in
   let scratch = { Ba_exec.Event.pc = 0; target = 0; kind = Ba_exec.Event.Uncond } in
   let cond_payload = { Ba_exec.Event.pc = 0; target = 0;
                        kind = Ba_exec.Event.Cond { taken = false; taken_target = 0 } } in
@@ -385,21 +401,17 @@ let machine_run t geom arch =
     st.Stream.recs;
   Bep.bep sim
 
-let cost_spec t geom ~noncond ~ret_mp ix spec =
+let cost_spec t geom ~noncond ix spec =
   match spec with
   | `Arch (Bep.Btb_arch _ as arch) -> machine_run t geom arch
   | `Arch (Bep.Static_fallthrough | Bep.Static_btfnt) | `Likely ->
     t.stats.closed_form <- t.stats.closed_form + 1;
-    let mf0, mp0 = Lazy.force noncond in
-    let mf1, mp1 = rule_cond_counts t geom spec in
-    ((mf0 + mf1) * penalties.Bep.misfetch)
-    + ((mp0 + mp1 + Lazy.force ret_mp) * penalties.Bep.mispredict)
+    Bep.cycles (rule_books t.counts ~profile:t.profile geom spec (Lazy.force noncond))
   | `Arch (Bep.Pht_direct _ | Bep.Pht_gshare _) ->
-    let mf0, mp0 = Lazy.force noncond in
-    (mf0 * penalties.Bep.misfetch)
-    + ((mp0 + Lazy.force ret_mp) * penalties.Bep.mispredict)
-    + table_cond_penalty t geom ix spec
+    Bep.cycles (Lazy.force noncond) + table_cond_penalty t geom ix spec
   | `Arch (Bep.Static_likely _) -> assert false (* refused by [create] *)
+
+let no_records = { Stream.recs = [||]; choices = [||]; ret_frames = [||]; cond_recs = [||] }
 
 let create ~specs profile trace base =
   Array.iter
@@ -411,24 +423,23 @@ let create ~specs profile trace base =
       | _ -> ())
     specs;
   let program = Ba_cfg.Profile.program profile in
-  let stream = Stream.build program trace in
-  let stats =
-    {
-      closed_form = 0;
-      cond_cached = 0;
-      cond_scoped = 0;
-      cond_replayed = 0;
-      machine_runs = 0;
-      ras_substreams = 0;
-    }
+  (* Only the tables and the BTB read the per-step records. *)
+  let counts, records =
+    if Array.for_all is_static specs then (Stream.walk program trace, no_records)
+    else
+      let st = Stream.build program trace in
+      (st.Stream.counts, st.Stream.records)
   in
-  let base_geom = geom_of ~stream ~profile base in
+  let stats =
+    { closed_form = 0; cond_cached = 0; cond_scoped = 0; cond_replayed = 0; machine_runs = 0 }
+  in
+  let base_geom = geom_of_image counts (Image.build ~profile program base) in
   let t =
     {
-      stream;
+      counts;
+      records;
       profile;
       specs = Array.copy specs;
-      ras_risky = stream.Stream.max_depth > Bep.return_stack_depth;
       base_geom;
       base_cond = Array.make (Array.length specs) 0;
       stats;
@@ -447,14 +458,12 @@ let stats t = t.stats
 
 let cost t decisions =
   let geom = make_geom t decisions in
-  let noncond = lazy (noncond_counts t geom) in
-  let ret_mp = lazy (ret_mp_count t geom) in
-  Array.mapi (cost_spec t geom ~noncond ~ret_mp) t.specs
+  let noncond = lazy (noncond_books t.counts geom) in
+  Array.mapi (cost_spec t geom ~noncond) t.specs
 
 let cost_arch t ix decisions =
   if ix < 0 || ix >= Array.length t.specs then
     invalid_arg "Ba_delta.Eval.cost_arch: spec index out of range";
   let geom = make_geom t decisions in
-  let noncond = lazy (noncond_counts t geom) in
-  let ret_mp = lazy (ret_mp_count t geom) in
-  cost_spec t geom ~noncond ~ret_mp ix t.specs.(ix)
+  let noncond = lazy (noncond_books t.counts geom) in
+  cost_spec t geom ~noncond ix t.specs.(ix)

@@ -1,6 +1,7 @@
-(** Simulator-exact incremental candidate pricing.
+(** Simulator-exact incremental candidate pricing, and the closed form of
+    the static architectures.
 
-    One {!Stream.build} pass over the recorded trace makes every later
+    One {!Stream} walk over the recorded trace makes every later
     candidate evaluation a function of the candidate's geometry alone.
     {!cost} then returns, per requested configuration, {e exactly} the
     integer penalty cycles {!Ba_sim.Runner.simulate} would report for a
@@ -8,7 +9,8 @@
     wall in [test_delta.ml] enforces bit equality.
 
     Configurations are {!Ba_sim.Bep.config}s: static rules are priced by
-    closed form over per-site counts; the PHTs replay only the
+    closed form over per-site counts ({!static_books}, which needs only
+    {!Stream.walk}); the PHTs replay only the
     conditional-direction substream, with cached / entry-scoped fast paths
     when the move left predictor inputs unchanged; the BTB synthesises the
     exact event stream into a real {!Ba_sim.Bep.t}.  {!stats} reports which
@@ -29,8 +31,31 @@ type stats = {
   mutable cond_scoped : int;  (** table substream: entry-scoped dual replay *)
   mutable cond_replayed : int;  (** table substream: full replay *)
   mutable machine_runs : int;  (** BTB synthesised-event machine runs *)
-  mutable ras_substreams : int;  (** call/return substream replays *)
 }
+
+val is_static : Ba_sim.Bep.config -> bool
+(** FALLTHROUGH, BT/FNT and [`Likely]: the configurations {!static_books}
+    prices. *)
+
+val static_books :
+  Stream.counts ->
+  profile:Ba_cfg.Profile.t ->
+  Ba_sim.Bep.config list ->
+  Ba_layout.Image.t ->
+  Ba_exec.Engine.result * Ba_sim.Bep.counts * Ba_sim.Bep.counts list
+(** [static_books counts ~profile configs image] is [(result, common,
+    books)], in closed form over the walk's per-site counts: [result] is
+    what a replay of the walked trace through [image] reports; [common]
+    holds the books every configuration shares (the conditional branches
+    executed and taken, and every non-conditional event), with no
+    conditional prediction counted; [books] are each configuration's
+    books, [common] plus its conditional predictions.  [result] and
+    [books] are bit-equal to {!Ba_sim.Runner.simulate}'s [result] and
+    [Bep.counts] (the static wall holds them so).  LIKELY's hints are
+    [profile]'s majority directions, as {!Ba_sim.Bep.arch_of} builds
+    them.  [image] is any image of the walked program.  Raises
+    [Invalid_argument], before any pricing, when a configuration of
+    [configs] is not {!is_static}. *)
 
 type t
 
@@ -40,8 +65,9 @@ val create :
   Ba_trace.Trace.t ->
   Ba_layout.Decision.t array ->
   t
-(** [create ~specs profile trace base] replays the trace once (shape only)
-    and prices the base layout's conditional substreams so later
+(** [create ~specs profile trace base] walks the trace once (shape only;
+    per-step records only when a table or BTB spec needs them) and prices
+    the base layout's conditional substreams so later
     candidates near [base] hit the cached paths.  Prices with the
     machine's penalties and return stack ({!Ba_sim.Bep.penalties},
     {!Ba_sim.Bep.return_stack_depth}), as {!Ba_sim.Runner.simulate} does,

@@ -22,7 +22,7 @@ let tag_vcall = 5
 let tag_ret = 6
 let tag_halt = 7
 
-type t = {
+type counts = {
   program : Ba_ir.Program.t;
   pbase : int array;  (** first site of each procedure *)
   n_sites : int;
@@ -30,17 +30,23 @@ type t = {
   site_block : int array;
   opcode : int array;  (** semantic terminator class per site (Flat codes) *)
   n_steps : int;
-  recs : int array;  (** (site lsl 3) lor tag, per step *)
-  choices : int array;  (** switch/vcall selected indices, in order *)
-  ret_frames : int array;  (** per return: pushing call site, or -1 *)
-  cond_recs : int array;  (** (site lsl 1) lor outcome, conditionals only *)
+  completed : bool;  (** the recorded run halted before its budget *)
   n_exec : int array;  (** per site *)
   n_true : int array;  (** semantic [true] outcomes, per conditional site *)
   n_false : int array;
   n_rets_to : int array;  (** frames pushed at this call site and popped *)
   n_underflow : int;  (** returns executed with an empty frame stack *)
-  max_depth : int;  (** deepest call-stack the run reached *)
+  ret_mispredicts : int;  (** returns the machine's return stack mispredicts *)
 }
+
+type records = {
+  recs : int array;  (** (site lsl 3) lor tag, per step *)
+  choices : int array;  (** switch/vcall selected indices, in order *)
+  ret_frames : int array;  (** per return: pushing call site, or -1 *)
+  cond_recs : int array;  (** (site lsl 1) lor outcome, conditionals only *)
+}
+
+type t = { counts : counts; records : records }
 
 module Grow = struct
   type t = { mutable a : int array; mutable len : int }
@@ -61,8 +67,15 @@ end
 
 (* Mirrors [Replay.run]'s control flow over the identity layout, where
    global position = site.  Any drift from the replayer here would show up
-   as a penalty mismatch in the differential wall. *)
-let build program (tr : Trace.t) =
+   as a penalty mismatch in the differential wall.  With [record] off the
+   walk pushes no per-step record and allocates nothing per step.
+
+   Return mispredicts are layout-independent: the replayer pushes a call's
+   fall-through pc and every return targets exactly that pc, and distinct
+   call sites have distinct pcs.  So the machine's return stack, fed call
+   site ids instead of pcs, mispredicts the same returns on every layout.
+   An underflowing return pops the empty stack, a mispredict. *)
+let scan ~record program (tr : Trace.t) =
   let flat = Flat.of_image (Ba_layout.Image.original program) in
   let opcode = flat.Flat.opcode in
   let fa = flat.Flat.a and fb = flat.Flat.b and fc = flat.Flat.c in
@@ -88,7 +101,9 @@ let build program (tr : Trace.t) =
   let n_false = Array.make n_sites 0 in
   let n_rets_to = Array.make n_sites 0 in
   let n_underflow = ref 0 in
-  let max_depth = ref 0 in
+  let ras = Ba_predict.Return_stack.create ~depth:Ba_sim.Bep.return_stack_depth in
+  let ret_mp = ref 0 in
+  let push_rec g v = if record then Grow.push g v in
   (* decision cursors, as in Replay.run *)
   let conds = tr.Trace.conds in
   let cond_i = ref 0 in
@@ -135,7 +150,7 @@ let build program (tr : Trace.t) =
     !s_site.(!sp) <- site;
     !s_res.(!sp) <- resume;
     incr sp;
-    if !sp > !max_depth then max_depth := !sp
+    Ba_predict.Return_stack.push ras site
   in
   let budget = tr.Trace.steps in
   let steps = ref 0 in
@@ -147,13 +162,13 @@ let build program (tr : Trace.t) =
     n_exec.(gp) <- n_exec.(gp) + 1;
     let op = opcode.(gp) in
     if op = Flat.onone then begin
-      Grow.push recs ((gp lsl 3) lor tag_plain);
+      push_rec recs ((gp lsl 3) lor tag_plain);
       g := gp + 1
     end
     else if op = Flat.ocond then begin
       let outcome = next_outcome () in
-      Grow.push recs ((gp lsl 3) lor (if outcome then tag_cond_true else tag_cond_false));
-      Grow.push cond_recs ((gp lsl 1) lor (if outcome then 1 else 0));
+      push_rec recs ((gp lsl 3) lor (if outcome then tag_cond_true else tag_cond_false));
+      push_rec cond_recs ((gp lsl 1) lor (if outcome then 1 else 0));
       if outcome then n_true.(gp) <- n_true.(gp) + 1
       else n_false.(gp) <- n_false.(gp) + 1;
       if outcome = (fb.(gp) = 1) then g := fa.(gp)
@@ -163,64 +178,78 @@ let build program (tr : Trace.t) =
       end
     end
     else if op = Flat.ojump then begin
-      Grow.push recs ((gp lsl 3) lor tag_plain);
+      push_rec recs ((gp lsl 3) lor tag_plain);
       g := fa.(gp)
     end
     else if op = Flat.oswitch then begin
       let k = next_choice () in
-      Grow.push recs ((gp lsl 3) lor tag_switch);
-      Grow.push choices k;
+      push_rec recs ((gp lsl 3) lor tag_switch);
+      push_rec choices k;
       g := succ.(fa.(gp) + k)
     end
     else if op = Flat.ocall then begin
-      Grow.push recs ((gp lsl 3) lor tag_call);
+      push_rec recs ((gp lsl 3) lor tag_call);
       push gp fc.(gp);
       g := fa.(gp)
     end
     else if op = Flat.ovcall then begin
       let k = next_choice () in
-      Grow.push recs ((gp lsl 3) lor tag_vcall);
-      Grow.push choices k;
+      push_rec recs ((gp lsl 3) lor tag_vcall);
+      push_rec choices k;
       push gp fc.(gp);
       g := succ.(fa.(gp) + k)
     end
     else if op = Flat.oret then begin
-      Grow.push recs ((gp lsl 3) lor tag_ret);
+      push_rec recs ((gp lsl 3) lor tag_ret);
       if !sp = 0 then begin
-        Grow.push ret_frames (-1);
+        push_rec ret_frames (-1);
         incr n_underflow;
+        incr ret_mp;
         running := false
       end
       else begin
         decr sp;
         let f = !s_site.(!sp) in
-        Grow.push ret_frames f;
+        push_rec ret_frames f;
         n_rets_to.(f) <- n_rets_to.(f) + 1;
+        if Ba_predict.Return_stack.pop ras <> f then incr ret_mp;
         g := !s_res.(!sp)
       end
     end
     else begin
       (* ohalt *)
-      Grow.push recs ((gp lsl 3) lor tag_halt);
+      push_rec recs ((gp lsl 3) lor tag_halt);
       running := false
     end
   done;
+  let counts =
+    {
+      program;
+      pbase;
+      n_sites;
+      site_proc;
+      site_block;
+      opcode = Array.copy opcode;
+      n_steps = !steps;
+      completed = tr.Trace.completed;
+      n_exec;
+      n_true;
+      n_false;
+      n_rets_to;
+      n_underflow = !n_underflow;
+      ret_mispredicts = !ret_mp;
+    }
+  in
   {
-    program;
-    pbase;
-    n_sites;
-    site_proc;
-    site_block;
-    opcode = Array.copy opcode;
-    n_steps = !steps;
-    recs = Grow.finish recs;
-    choices = Grow.finish choices;
-    ret_frames = Grow.finish ret_frames;
-    cond_recs = Grow.finish cond_recs;
-    n_exec;
-    n_true;
-    n_false;
-    n_rets_to;
-    n_underflow = !n_underflow;
-    max_depth = !max_depth;
+    counts;
+    records =
+      {
+        recs = Grow.finish recs;
+        choices = Grow.finish choices;
+        ret_frames = Grow.finish ret_frames;
+        cond_recs = Grow.finish cond_recs;
+      };
   }
+
+let walk program tr = (scan ~record:false program tr).counts
+let build program tr = scan ~record:true program tr

@@ -28,17 +28,47 @@ type eval = {
   alpha : (float * float * float) option;
 }
 
-(* Run one image against a list of configurations, where LIKELY bits are
-   derived from the image itself (profile-guided hints follow the rewritten
-   binary, as re-annotating after transformation would). *)
-let run_image ~max_steps ~profile ~trace ~archs image =
-  Runner.simulate ~max_steps ~trace
-    ~archs:(List.map (Bep.arch_of ~image ~profile) archs)
-    image
+type outcome = {
+  result : Ba_exec.Engine.result;
+  rows : (Bep.config * Bep.counts) array;
+  pct_ft : float;
+  stats : Ba_exec.Trace_stats.t option;
+}
+
+(* Static configurations are priced in closed form over the counts of one
+   walk of the trace, made when [~profile ~trace] are applied; only the
+   dynamic ones replay it.  LIKELY bits come from the profile and the image
+   itself (profile-guided hints follow the rewritten binary, as
+   re-annotating after transformation would). *)
+let run_image ~profile ~trace =
+  let counts = Ba_delta.Stream.walk (Ba_cfg.Profile.program profile) trace in
+  fun ~archs image ->
+    let static, dynamic = List.partition Ba_delta.Eval.is_static archs in
+    let result, common, books = Ba_delta.Eval.static_books counts ~profile static image in
+    let replay =
+      match dynamic with
+      | [] -> None
+      | _ ->
+        Some
+          (Runner.simulate ~trace ~archs:(List.map (Bep.arch_of ~image ~profile) dynamic) image)
+    in
+    let books = ref books in
+    let sims = ref (match replay with Some o -> Array.to_list o.Runner.sims | None -> []) in
+    let next r = match !r with x :: rest -> r := rest; x | [] -> assert false in
+    let row config =
+      (config, if Ba_delta.Eval.is_static config then next books else Bep.counts (snd (next sims)))
+    in
+    {
+      result;
+      rows = Array.of_list (List.map row archs);
+      pct_ft = Ba_util.Stats.pct (common.Bep.cond - common.Bep.cond_taken) common.Bep.cond;
+      stats = Option.map (fun o -> o.Runner.stats) replay;
+    }
 
 let cpi outcome ~orig_insns arch_index =
-  let _, sim = outcome.Runner.sims.(arch_index) in
-  Bep.relative_cpi sim ~insns:outcome.Runner.result.Ba_exec.Engine.insns ~orig_insns
+  let _, books = outcome.rows.(arch_index) in
+  float_of_int (outcome.result.Ba_exec.Engine.insns + Bep.cycles books)
+  /. float_of_int orig_insns
 
 let full_archs =
   [
@@ -77,14 +107,15 @@ let evaluate ?max_steps (workload : Ba_workloads.Spec.t) =
   let max_steps =
     match max_steps with Some s -> s | None -> Ba_workloads.Spec.default_max_steps
   in
-  (* Record once, replay many: the single memoized interpreter pass yields
-     the profile and the semantic trace, and every image below — original
-     included — replays that trace instead of re-interpreting. *)
+  (* Record once, walk once, replay only the dynamic predictors: the single
+     memoized interpreter pass yields the profile and the semantic trace,
+     one walk of it prices every image's static architectures, and only
+     the images scored on a PHT or a BTB replay the trace. *)
   let program, profile, trace = Ba_workloads.Profiled.get_traced ~max_steps workload in
-  let run_image = run_image ~max_steps ~profile ~trace in
+  let run_image = run_image ~profile ~trace in
   let orig_image = Ba_layout.Image.original ~profile program in
   let orig_out = run_image ~archs:full_archs orig_image in
-  let orig_insns = orig_out.Runner.result.Ba_exec.Engine.insns in
+  let orig_insns = orig_out.result.Ba_exec.Engine.insns in
   let greedy_image = Align.image Align.Greedy profile in
   let greedy_out = run_image ~archs:full_archs greedy_image in
   (* As in §6.1, layouts evaluated on BT/FNT use the Pettis & Hansen
@@ -167,7 +198,7 @@ let evaluate ?max_steps (workload : Ba_workloads.Spec.t) =
         | Ba_workloads.Spec.Int | Ba_workloads.Spec.Other -> 0.08
       in
       let run_alpha image =
-        let result, alpha = Runner.simulate_alpha ~max_steps ~fp_fraction ~trace image in
+        let result, alpha = Runner.simulate_alpha ~fp_fraction ~trace image in
         Alpha.cycles alpha ~insns:result.Ba_exec.Engine.insns
       in
       let orig_cycles = run_alpha orig_image in
@@ -181,7 +212,9 @@ let evaluate ?max_steps (workload : Ba_workloads.Spec.t) =
     workload;
     orig_insns;
     stats =
-      Ba_exec.Trace_stats.summarize orig_out.Runner.stats ~program ~insns:orig_insns;
+      (* [full_archs] holds the dynamic predictors, so the original image
+         was replayed *)
+      Ba_exec.Trace_stats.summarize (Option.get orig_out.stats) ~program ~insns:orig_insns;
     orig = cpis_of_full orig_out ~orig_insns;
     greedy =
       { (cpis_of_full greedy_out ~orig_insns) with
@@ -189,11 +222,11 @@ let evaluate ?max_steps (workload : Ba_workloads.Spec.t) =
     exttsp = cpis_of_full exttsp_out ~orig_insns;
     try15;
     anneal;
-    pct_ft_orig = Ba_exec.Trace_stats.pct_cond_fallthrough orig_out.Runner.stats;
-    pct_ft_greedy = Ba_exec.Trace_stats.pct_cond_fallthrough greedy_out.Runner.stats;
-    pct_ft_try15_ft = Ba_exec.Trace_stats.pct_cond_fallthrough t15_ft.Runner.stats;
-    pct_ft_try15_btfnt = Ba_exec.Trace_stats.pct_cond_fallthrough t15_btfnt.Runner.stats;
-    pct_ft_try15_likely = Ba_exec.Trace_stats.pct_cond_fallthrough t15_likely.Runner.stats;
+    pct_ft_orig = orig_out.pct_ft;
+    pct_ft_greedy = greedy_out.pct_ft;
+    pct_ft_try15_ft = t15_ft.pct_ft;
+    pct_ft_try15_btfnt = t15_btfnt.pct_ft;
+    pct_ft_try15_likely = t15_likely.pct_ft;
     alpha;
   }
 

@@ -36,18 +36,39 @@ val simulate_archs : Ba_sim.Bep.config list
     [simulate] kind report, in row order: LIKELY, FALLTHROUGH, BT/FNT, the
     two PHTs and the 256-entry BTB. *)
 
+type outcome = {
+  result : Ba_exec.Engine.result;
+      (** what a replay of the trace through the image reports *)
+  rows : (Ba_sim.Bep.config * Ba_sim.Bep.counts) array;
+      (** each configuration's books, in the order given *)
+  pct_ft : float;
+      (** share of the image's executed conditional branches that fell
+          through (the paper's "% of Fall-Through Conditional Branches"),
+          in closed form whatever [archs] holds *)
+  stats : Ba_exec.Trace_stats.t option;
+      (** the replay's trace statistics; [None] when every configuration
+          was static and nothing was replayed *)
+}
+
 val run_image :
-  max_steps:int ->
   profile:Ba_cfg.Profile.t ->
   trace:Ba_trace.Trace.t ->
   archs:Ba_sim.Bep.config list ->
   Ba_layout.Image.t ->
-  Ba_sim.Runner.outcome
-(** Score one image: replay [trace] through it, driving every
-    architecture of [archs] in order, with LIKELY hint bits built from
-    the image itself (re-annotating the rewritten binary). *)
+  outcome
+(** Score one image on every configuration of [archs].  Applying
+    [~profile ~trace] walks [trace] once ({!Ba_delta.Stream.walk} over
+    [profile]'s program, the program [trace] was recorded from); apply
+    them once and the walk serves every image scored after.  The static
+    configurations (FALLTHROUGH, BT/FNT, LIKELY) are priced in closed form
+    over the walk's counts ({!Ba_delta.Eval.static_books}), with LIKELY
+    hint bits built from [profile] and the image itself (re-annotating the
+    rewritten binary); only the dynamic ones (PHTs, BTBs) replay [trace],
+    one {!Ba_sim.Runner.simulate} driving just their simulators.  Every
+    field equals what {!Ba_sim.Runner.simulate} on all of [archs] reports:
+    the static wall and the delta wall hold it so. *)
 
-val cpi : Ba_sim.Runner.outcome -> orig_insns:int -> int -> float
+val cpi : outcome -> orig_insns:int -> int -> float
 (** [cpi outcome ~orig_insns i]: relative CPI of the [i]th architecture
     of [outcome] against the original program's instruction count. *)
 
@@ -82,9 +103,11 @@ val evaluate : ?max_steps:int -> Ba_workloads.Spec.t -> eval
 (** [max_steps] defaults to {!Ba_workloads.Spec.default_max_steps}.  The
     workload's profile {e and} semantic trace come from the process-wide
     {!Ba_workloads.Profiled} memo, so the interpreter runs only once per
-    workload per budget; every image (original included) is then scored
-    by {!run_image}, which replays the trace, and which the differential
-    test wall proves equal to interpreting every image. *)
+    workload per budget; the trace is walked once, and every image
+    (original included) is then scored by {!run_image}.  Of its 14
+    images, only the 7 scored on a dynamic predictor (original, Greedy
+    and ExtTsp on all seven; Try15 and Anneal under PHT and BTB) replay
+    the trace; the static columns come from the closed form. *)
 
 val evaluate_suite :
   ?max_steps:int -> ?jobs:int -> Ba_workloads.Spec.t list -> eval list

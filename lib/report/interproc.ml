@@ -38,7 +38,7 @@ let evaluate ?max_steps (workload : Ba_workloads.Spec.t) =
       ~workload:workload.Ba_workloads.Spec.name ~algo:(Align.algo_name Align.ExtTsp)
       ~profile stitched_image
   in
-  let penalties image = Placement.penalties ~max_steps ~profile ~trace image in
+  let penalties = Placement.penalties ~profile ~trace in
   {
     workload;
     procs = n;

@@ -15,11 +15,9 @@ type row = {
 
 let arch_labels = List.map Bep.config_label Harness.full_archs
 
-let penalties ~max_steps ~profile ~trace image =
-  let outcome =
-    Harness.run_image ~max_steps ~profile ~trace ~archs:Harness.full_archs image
-  in
-  Array.map (fun (_, sim) -> Bep.bep sim) outcome.Runner.sims
+let penalties ~profile ~trace =
+  let run = Harness.run_image ~profile ~trace ~archs:Harness.full_archs in
+  fun image -> Array.map (fun (_, books) -> Bep.cycles books) (run image).Harness.rows
 
 let evaluate ?max_steps (workload : Ba_workloads.Spec.t) =
   let max_steps =
@@ -39,8 +37,9 @@ let evaluate ?max_steps (workload : Ba_workloads.Spec.t) =
   let place =
     Ba_conflict.Place.improve ~arch:Cost_model.Btb ~profile program decisions
   in
-  let base = penalties ~max_steps ~profile ~trace base_image in
-  let placed = penalties ~max_steps ~profile ~trace place.Ba_conflict.Place.image in
+  let penalties = penalties ~profile ~trace in
+  let base = penalties base_image in
+  let placed = penalties place.Ba_conflict.Place.image in
   let total a = Array.fold_left ( + ) 0 a in
   let applied = total placed <= total base in
   {

@@ -29,14 +29,14 @@ val arch_labels : string list
 (** Column labels, in {!Harness.full_archs} order. *)
 
 val penalties :
-  max_steps:int ->
   profile:Ba_cfg.Profile.t ->
   trace:Ba_trace.Trace.t ->
   Ba_layout.Image.t ->
   int array
 (** Penalty cycles of one image per {!Harness.full_archs} architecture,
-    scored by {!Harness.run_image}; the inter-procedural report scores its
-    images through the same helper so the columns match. *)
+    scored by {!Harness.run_image}, which walks [trace] once per
+    application of [~profile ~trace]; the inter-procedural report scores
+    its images through the same helper so the columns match. *)
 
 val evaluate : ?max_steps:int -> Ba_workloads.Spec.t -> row
 

@@ -95,30 +95,29 @@ let simulate_body ~w ~algo ~arch ~max_steps =
     Ba_workloads.Profiled.get_traced ~max_steps w
   in
   let out =
-    Ba_report.Harness.run_image ~max_steps ~profile ~trace
+    Ba_report.Harness.run_image ~profile ~trace
       ~archs:Ba_report.Harness.simulate_archs
       (Ba_delta.Algo.image algo ~arch profile)
   in
   let sims =
     List.map
-      (fun (a, sim) ->
-        let counts = Ba_sim.Bep.counts sim in
+      (fun (config, (books : Ba_sim.Bep.counts)) ->
         Json.Obj
           [
-            ("label", Json.String (Ba_sim.Bep.arch_label a));
-            ("accuracy", Json.Float (100.0 *. Ba_sim.Bep.cond_accuracy sim));
-            ("misfetches", Json.Int counts.Ba_sim.Bep.misfetches);
-            ("mispredicts", Json.Int counts.Ba_sim.Bep.mispredicts);
-            ("bep_cycles", Json.Int (Ba_sim.Bep.bep sim));
+            ("label", Json.String (Ba_sim.Bep.config_label config));
+            ("accuracy", Json.Float (100.0 *. Ba_sim.Bep.accuracy books));
+            ("misfetches", Json.Int books.Ba_sim.Bep.misfetches);
+            ("mispredicts", Json.Int books.Ba_sim.Bep.mispredicts);
+            ("bep_cycles", Json.Int (Ba_sim.Bep.cycles books));
           ])
-      (Array.to_list out.Ba_sim.Runner.sims)
+      (Array.to_list out.Ba_report.Harness.rows)
   in
   Json.Obj
     (header w algo arch
     @ [
         ( "branches",
-          Json.Int out.Ba_sim.Runner.result.Ba_exec.Engine.branches );
-        ("insns", Json.Int out.Ba_sim.Runner.result.Ba_exec.Engine.insns);
+          Json.Int out.Ba_report.Harness.result.Ba_exec.Engine.branches );
+        ("insns", Json.Int out.Ba_report.Harness.result.Ba_exec.Engine.insns);
         ("architectures", Json.List sims);
       ])
 

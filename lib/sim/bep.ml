@@ -202,8 +202,8 @@ let on_event t (e : Event.t) =
 
 let counts t = t.c
 
-let bep t =
-  (t.c.misfetches * penalties.misfetch) + (t.c.mispredicts * penalties.mispredict)
+let cycles c = (c.misfetches * penalties.misfetch) + (c.mispredicts * penalties.mispredict)
+let bep t = cycles t.c
 
 (* Every global metric above is a pure function of the final books, so the
    simulation loop never touches the registry: the books are flushed once,
@@ -232,7 +232,8 @@ let flush_obs t =
   Ba_obs.Counter.add m_ret c.rets;
   Ba_obs.Counter.add m_ret_correct c.rets_correct
 
-let cond_accuracy t = Ba_util.Stats.ratio t.c.cond_correct t.c.cond
+let accuracy c = Ba_util.Stats.ratio c.cond_correct c.cond
+let cond_accuracy t = accuracy t.c
 
 let relative_cpi t ~insns ~orig_insns =
   float_of_int (insns + bep t) /. float_of_int orig_insns

@@ -83,6 +83,13 @@ type counts = {
   mutable rets_correct : int;
 }
 
+val cycles : counts -> int
+(** Penalty cycles of a set of books: misfetches and mispredicts at
+    {!penalties}. *)
+
+val accuracy : counts -> float
+(** Fraction of the books' conditional branches predicted correctly. *)
+
 type t
 
 val create : ?return_stack_depth:int -> arch -> t
@@ -99,7 +106,7 @@ val flush_obs : t -> unit
     once per simulation; {!Ba_sim.Runner.simulate} does. *)
 
 val bep : t -> int
-(** Total penalty cycles charged so far. *)
+(** Total penalty cycles charged so far: {!cycles} of the live books. *)
 
 val cond_accuracy : t -> float
 (** Fraction of executed conditional branches predicted correctly. *)

@@ -1,15 +1,18 @@
 (* The lint-all matrix: every built-in workload, linted end-to-end under
    every alignment algorithm (the annealing search included) and every
-   architectural cost model.  Runs as part of `dune runtest`; any
-   Error-severity diagnostic fails the build with its rule id and location
-   printed.
+   architectural cost model, through the pipeline `branch_align lint`
+   runs ([Ba_verify.Run.lint]: the five check stages, then the conflict
+   lint, the optimality audit with simulator figures and the bound lint).
+   Runs as part of `dune runtest`; any Error-severity diagnostic fails the
+   build with its rule id and location printed.
 
    The 720 cells run on a Ba_par.Pool (BA_JOBS-many domains; BA_JOBS=1
-   forces the sequential path).  Each workload is profiled once via the
-   Ba_workloads.Profiled memo and the profile shared across its algorithm
-   × architecture cells — concurrent cells of the same workload block on
-   the memo rather than re-profiling.  Results come back in cell order, so
-   the report below is byte-identical whatever the scheduling. *)
+   forces the sequential path).  Each workload is profiled and its trace
+   recorded once via the Ba_workloads.Profiled memo, and both are shared
+   across its algorithm × architecture cells — concurrent cells of the
+   same workload block on the memo rather than re-recording.  Results come
+   back in cell order, so the report below is byte-identical whatever the
+   scheduling. *)
 
 let algos = Matrix.every_algo
 
@@ -31,13 +34,8 @@ let () =
     Ba_par.Pool.with_pool (fun pool ->
         Ba_par.Pool.map pool
           (fun ((w : Ba_workloads.Spec.t), algo, arch) ->
-            let program, profile = Ba_workloads.Profiled.get ~max_steps w in
-            ( w,
-              algo,
-              arch,
-              Ba_analysis.Run.check_pipeline ~profile
-                ~align:(Ba_delta.Algo.decisions algo ~arch)
-                program ))
+            let _program, profile, trace = Ba_workloads.Profiled.get_traced ~max_steps w in
+            (w, algo, arch, Ba_verify.Run.lint ~trace ~arch ~profile algo))
           cells)
   in
   let failed = ref 0 in

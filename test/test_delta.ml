@@ -614,6 +614,230 @@ let test_algo_anneal_pool () =
     (Anneal.align_program ~seed:7 ~arch:Ba_core.Cost_model.Btfnt profile)
 
 (* ------------------------------------------------------------------ *)
+(* The static wall: the closed form that prices FALLTHROUGH, BT/FNT and
+   LIKELY ([Harness.run_image] through [Eval.static_books]) must report
+   exactly what a replay through [Runner.simulate] does — the result, every
+   field of every configuration's books, and the fall-through share. *)
+
+let static_configs =
+  [ `Arch Ba_sim.Bep.Static_fallthrough; `Arch Ba_sim.Bep.Static_btfnt; `Likely ]
+
+(* [score] is [Harness.run_image ~profile ~trace], applied once per trace.
+   Raises [Failure] naming the first field that differs. *)
+let check_static ~what ~profile ~trace ~score ~archs image =
+  let got = score ~archs image in
+  let want =
+    Ba_sim.Runner.simulate ~trace
+      ~archs:(List.map (Ba_sim.Bep.arch_of ~image ~profile) archs)
+      image
+  in
+  if got.Ba_report.Harness.result <> want.Ba_sim.Runner.result then
+    failwith (what ^ ": replay result differs from the closed form");
+  Array.iteri
+    (fun i (config, books) ->
+      if books <> Ba_sim.Bep.counts (snd want.Ba_sim.Runner.sims.(i)) then
+        failwith
+          (Printf.sprintf "%s [%s]: books differ from the replay's" what
+             (Ba_sim.Bep.config_label config)))
+    got.Ba_report.Harness.rows;
+  if
+    got.Ba_report.Harness.pct_ft
+    <> Ba_exec.Trace_stats.pct_cond_fallthrough want.Ba_sim.Runner.stats
+  then failwith (what ^ ": fall-through share differs")
+
+(* Every image [Harness.evaluate] scores, under the same names. *)
+let evaluate_images profile =
+  let open Ba_core in
+  let btfnt_order = Ba_layout.Chain_order.Btfnt_precedence in
+  let try15 = function
+    | Cost_model.Btfnt ->
+      Align.image (Align.Tryn 15) ~strategy:btfnt_order ~arch:Cost_model.Btfnt
+        ~refine_rounds:2 profile
+    | arch -> Align.image (Align.Tryn 15) ~arch profile
+  in
+  let models = Cost_model.[ Fallthrough; Btfnt; Likely; Pht; Btb ] in
+  [
+    ("orig", Ba_layout.Image.original ~profile (Ba_cfg.Profile.program profile));
+    ("greedy", Align.image Align.Greedy profile);
+    ("greedy/btfnt-order", Align.image Align.Greedy ~strategy:btfnt_order profile);
+    ("exttsp", Align.image Align.ExtTsp profile);
+  ]
+  @ List.map (fun m -> ("try15/" ^ Cost_model.arch_name m, try15 m)) models
+  @ List.map
+      (fun m -> ("anneal/" ^ Cost_model.arch_name m, Algo.image Algo.Anneal ~arch:m profile))
+      models
+
+(* A program that recurses deeper than the 32-entry return stack: [deep]
+   calls itself 44 times before returning, so the unwinding returns
+   outlive the stack and mispredict. *)
+let deep_program () =
+  let open Ba_ir in
+  let main =
+    Proc.make ~name:"main"
+      [|
+        Block.make ~insns:2 (Term.Call { callee = 1; next = 1 });
+        Block.make ~insns:1
+          (Term.Cond { on_true = 0; on_false = 2; behavior = Behavior.Loop 5 });
+        Block.make ~insns:1 Term.Halt;
+      |]
+  in
+  let deep =
+    Proc.make ~name:"deep"
+      [|
+        Block.make ~insns:3
+          (Term.Cond { on_true = 1; on_false = 3; behavior = Behavior.Loop 45 });
+        Block.make ~insns:1 (Term.Call { callee = 1; next = 2 });
+        Block.make ~insns:2 (Term.Call { callee = 2; next = 3 });
+        Block.make ~insns:1 Term.Ret;
+      |]
+  in
+  let leaf = Proc.make ~name:"leaf" [| Block.make ~insns:4 Term.Ret |] in
+  Program.make ~name:"deep-recursion" ~seed:11 [| main; deep; leaf |]
+
+let identity program =
+  Array.init (Ba_ir.Program.n_procs program) (fun p ->
+      Ba_layout.Decision.identity (Ba_ir.Program.proc program p))
+
+(* Minor words plus the words allocated straight in the major heap (large
+   arrays skip the minor heap). *)
+let words_allocated () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let test_static_wall () =
+  let images = ref 0 in
+  Matrix.iter_traced (fun w program profile trace ->
+      let score = Ba_report.Harness.run_image ~profile ~trace in
+      List.iter
+        (fun (name, image) ->
+          incr images;
+          check_static
+            ~what:(w.Ba_workloads.Spec.name ^ "/" ^ name)
+            ~profile ~trace ~score ~archs:static_configs image)
+        (evaluate_images profile);
+      let orig = Ba_layout.Image.original ~profile program in
+      (* Static and dynamic rows interleaved: the replayed rows come back in
+         the order asked for. *)
+      check_static ~what:(w.Ba_workloads.Spec.name ^ "/orig, all seven") ~profile ~trace
+        ~score ~archs:Ba_report.Harness.full_archs orig;
+      (* No configuration, or only dynamic ones: the result and %FT still
+         come from the closed form. *)
+      check_static ~what:(w.Ba_workloads.Spec.name ^ "/orig, none") ~profile ~trace
+        ~score ~archs:[] orig;
+      check_static ~what:(w.Ba_workloads.Spec.name ^ "/orig, BTB only") ~profile ~trace
+        ~score ~archs:[ `Arch Ba_sim.Bep.btb256 ] orig);
+  (* Deeper than the return stack: the walk's site-id stack must charge
+     the mispredicts the replay's pc stack does, and the delta pricer
+     (every configuration) must stay exact on moved layouts. *)
+  let program = deep_program () in
+  let profile, trace =
+    Ba_trace.Record.profile_and_record ~max_steps:qcheck_steps program
+  in
+  let counts = Stream.walk program trace in
+  Alcotest.(check bool)
+    "the recursion overflows the return stack" true
+    (counts.Stream.ret_mispredicts > counts.Stream.n_underflow);
+  let decisions = identity program in
+  let score = Ba_report.Harness.run_image ~profile ~trace in
+  List.iter
+    (fun ds ->
+      check_static ~what:"deep-recursion" ~profile ~trace ~score
+        ~archs:Ba_report.Harness.full_archs (Ba_layout.Image.build ~profile program ds))
+    (decisions
+    :: List.map (Move.apply decisions)
+         (Move.enumerate
+            ~cond_counts:(fun p b -> Ba_cfg.Profile.cond_counts profile p b)
+            program decisions));
+  ignore
+    (check_cell ~specs:configs ~max_steps:qcheck_steps ~moves_per_cell:8
+       ~what:"deep-recursion" program profile trace decisions
+      : int);
+  (* A static-only evaluator walks without records: its allocation scales
+     with the program's sites, not with the trace's steps. *)
+  let steps = 400_000 in
+  let w = Matrix.workload "gcc" in
+  let program, profile, trace = Ba_workloads.Profiled.get_traced ~max_steps:steps w in
+  let base = identity program in
+  let specs = Array.of_list static_configs in
+  let sites = (Stream.walk program trace).Stream.n_sites in
+  let before = words_allocated () in
+  let ev = Eval.create ~specs profile trace base in
+  let words = int_of_float (words_allocated () -. before) in
+  ignore (Eval.cost ev base : int array);
+  Alcotest.(check bool)
+    (Printf.sprintf "static Eval.create: %d words for %d sites over %d steps" words sites
+       trace.Ba_trace.Trace.steps)
+    true
+    (words < 200 * sites && words < trace.Ba_trace.Trace.steps / 4);
+  (* The CI step summary greps this line out of the test log. *)
+  Printf.printf
+    "static wall: %d images x 3 static configurations bit-equal to replay; \
+     deep recursion %d return mispredicts; static Eval.create at %d steps \
+     allocated %d words (%d sites)\n%!"
+    !images counts.Stream.ret_mispredicts trace.Ba_trace.Trace.steps words sites
+
+(* The closed form prices the static rules only, and refuses any other
+   configuration before it prices anything — even on a trace that executes
+   no conditional branch, where no site would reach a rule. *)
+let test_static_refuses_dynamic () =
+  let open Ba_ir in
+  let main =
+    Proc.make ~name:"main"
+      [|
+        Block.make ~insns:2 (Term.Call { callee = 1; next = 1 });
+        Block.make ~insns:1 Term.Halt;
+      |]
+  in
+  let leaf = Proc.make ~name:"leaf" [| Block.make ~insns:3 Term.Ret |] in
+  let program = Program.make ~name:"no-conditionals" ~seed:3 [| main; leaf |] in
+  let profile, trace =
+    Ba_trace.Record.profile_and_record ~max_steps:qcheck_steps program
+  in
+  let counts = Stream.walk program trace in
+  let image = Ba_layout.Image.original ~profile program in
+  List.iter
+    (fun config ->
+      Alcotest.(check bool)
+        (Ba_sim.Bep.config_label config ^ ": Invalid_argument")
+        true
+        (match Eval.static_books counts ~profile [ `Likely; config ] image with
+         | _ -> false
+         | exception Invalid_argument _ -> true))
+    [
+      `Arch Ba_sim.Bep.pht_direct;
+      `Arch Ba_sim.Bep.btb256;
+      `Arch (Ba_sim.Bep.arch_of ~image ~profile `Likely);
+    ]
+
+(* Random programs under moved layouts: every static row of every moved
+   image equals the replay's. *)
+let test_qcheck_static =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "closed form equals replay on moved random layouts (qcheck seed %d)"
+         qcheck_seed)
+    ~count:30 Gen_prog.program_arb (fun program ->
+      let profile, trace =
+        Ba_trace.Record.profile_and_record ~max_steps:qcheck_steps program
+      in
+      let score = Ba_report.Harness.run_image ~profile ~trace in
+      let decisions =
+        Ba_core.Align.align_program Ba_core.Align.Greedy
+          ~arch:Ba_core.Cost_model.Btfnt profile
+      in
+      List.iter
+        (fun ds ->
+          check_static ~what:"random program" ~profile ~trace ~score
+            ~archs:static_configs (Ba_layout.Image.build ~profile program ds))
+        (decisions
+        :: List.map (Move.apply decisions)
+             (sample 6
+                (Move.enumerate
+                   ~cond_counts:(fun p b -> Ba_cfg.Profile.cond_counts profile p b)
+                   program decisions)));
+      true)
+
+(* ------------------------------------------------------------------ *)
 
 let suites =
   [
@@ -626,6 +850,14 @@ let suites =
         Alcotest.test_case "fixed LIKELY bits refused" `Quick
           test_fixed_likely_refused;
         to_alcotest test_qcheck_differential;
+      ] );
+    ( "delta.static",
+      [
+        Alcotest.test_case "closed form = replay: 24 workloads, deep recursion, alloc"
+          `Slow test_static_wall;
+        Alcotest.test_case "dynamic configurations refused" `Quick
+          test_static_refuses_dynamic;
+        to_alcotest test_qcheck_static;
       ] );
     ( "delta.algebra",
       [
